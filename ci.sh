@@ -23,6 +23,14 @@ EES_SCAN_ISA=swar cargo test -p ees-iotrace -q
 echo "== cargo build --release =="
 cargo build --release --workspace
 
+echo "== daemon benchmark self-test (tiny scale) =="
+# The benchmark harness in daemonbench/ compiles against the crates'
+# public API and replays `ColocatedDaemon::step` call for call; its own
+# tests run every workload in both modes at tiny scale and check each
+# run against the daemon's report. An API change that breaks the harness,
+# or a daemon change its replica no longer matches, fails here.
+python3 -m unittest daemonbench/test_run.py
+
 echo "== online subsystem tests =="
 cargo test -q -p ees-online
 

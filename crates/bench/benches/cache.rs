@@ -18,12 +18,15 @@ fn bench_cache(c: &mut Criterion) {
         })
     });
 
+    // The general cache's production geometry: 1,048 one-MiB extents
+    // (Table II), keyed by (item, extent). Every touch misses and evicts.
     c.bench_function("lru_touch_miss_evict", |b| {
-        let mut lru = LruSet::new(1024);
+        let cfg = CacheConfig::ams2500();
+        let mut lru = LruSet::new((cfg.general_bytes() / cfg.extent_bytes) as usize);
         let mut i = 0u64;
         b.iter(|| {
             i += 1;
-            black_box(lru.touch(i))
+            black_box(lru.touch((DataItemId((i % 360) as u32), i)))
         })
     });
 

@@ -15,7 +15,7 @@ use crate::hotcold::determine_hot_cold;
 use crate::monitor::{MonitorHistory, MonitorHistoryState};
 use crate::period::next_period;
 use crate::placement::plan_placement_with_floor;
-use ees_iotrace::{DataItemId, EnclosureId, Micros, Span};
+use ees_iotrace::{DataItemId, DenseItemMap, EnclosureId, Micros, Span};
 use ees_policy::{EnclosureView, ManagementPlan};
 use std::collections::BTreeSet;
 
@@ -56,6 +56,23 @@ pub struct Planner {
     /// The smoothed peak decays 10 % per period, so a genuine load drop
     /// still shrinks the hot set within a few periods.
     imax_smooth: f64,
+    /// Per-plan lookup tables, cleared and refilled by every
+    /// [`plan`](Self::plan) call but kept allocated between calls. Not
+    /// part of the planner's state.
+    scratch: PlanScratch,
+}
+
+/// Dense per-item lookups [`Planner::plan`] builds once per call, so the
+/// migration write-back and the §V.C retention rule cost O(1) per item
+/// instead of a scan of the reports or of the set being built.
+#[derive(Debug, Clone, Default)]
+struct PlanScratch {
+    /// Migrated item → its final target enclosure.
+    moved: DenseItemMap<EnclosureId>,
+    /// Items with a report on a cold enclosure (post-migration).
+    cold_resident: DenseItemMap<()>,
+    /// Items already in the preload or write-delay set being built.
+    taken: DenseItemMap<()>,
 }
 
 impl Planner {
@@ -67,6 +84,7 @@ impl Planner {
             last_preload: Vec::new(),
             last_write_delay: Vec::new(),
             imax_smooth: 0.0,
+            scratch: PlanScratch::default(),
         }
     }
 
@@ -105,6 +123,7 @@ impl Planner {
             last_preload: s.last_preload,
             last_write_delay: s.last_write_delay,
             imax_smooth: s.imax_smooth,
+            scratch: PlanScratch::default(),
         }
     }
 }
@@ -181,10 +200,18 @@ impl Planner {
             );
         }
 
-        // Cache selection must see the *post-migration* placement.
+        // Cache selection must see the *post-migration* placement. Each
+        // migrated item's first report takes the target of the item's
+        // last migration, as applying the migrations in order to the
+        // first report a scan finds would leave it.
+        let scratch = &mut self.scratch;
+        scratch.moved.clear();
         for m in &placement.migrations {
-            if let Some(r) = reports.iter_mut().find(|r| r.id == m.item) {
-                r.enclosure = m.to;
+            scratch.moved.insert(m.item, m.to);
+        }
+        for r in reports.iter_mut() {
+            if let Some(to) = scratch.moved.remove(r.id) {
+                r.enclosure = to;
             }
         }
 
@@ -209,32 +236,40 @@ impl Planner {
         // classification flapping (P1 ↔ P0 ↔ P3) reshuffles the sets, and
         // every reshuffle is a bulk cache load that wakes a sleeping
         // enclosure — costing more than the preload ever saves.
-        let is_cold_resident = |id: DataItemId| {
-            reports
-                .iter()
-                .any(|r| r.id == id && cold.contains(&r.enclosure))
-        };
+        scratch.cold_resident.clear();
+        for r in reports.iter().filter(|r| cold.contains(&r.enclosure)) {
+            scratch.cold_resident.insert(r.id, ());
+        }
+        let is_cold_resident = |id: DataItemId| scratch.cold_resident.contains(id);
         let mut merged: Vec<(DataItemId, u64)> = Vec::new();
         let mut spent: u64 = 0;
+        scratch.taken.clear();
         for &(id, size) in &self.last_preload {
             if is_cold_resident(id) && spent + size <= self.cfg.preload_budget {
                 spent += size;
                 merged.push((id, size));
+                scratch.taken.insert(id, ());
             }
         }
         for &(id, size) in &preload {
-            if merged.iter().any(|(m, _)| *m == id) {
+            if scratch.taken.contains(id) {
                 continue;
             }
             if spent + size <= self.cfg.preload_budget {
                 spent += size;
                 merged.push((id, size));
+                scratch.taken.insert(id, ());
             }
         }
         let preload = merged;
+        scratch.taken.clear();
+        for &id in &write_delay {
+            scratch.taken.insert(id, ());
+        }
         for &id in &self.last_write_delay {
-            if !write_delay.contains(&id) && is_cold_resident(id) {
+            if !scratch.taken.contains(id) && is_cold_resident(id) {
                 write_delay.push(id);
+                scratch.taken.insert(id, ());
             }
         }
         self.last_preload = preload.clone();

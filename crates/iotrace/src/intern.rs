@@ -181,6 +181,20 @@ impl<V> DenseItemMap<V> {
         }
     }
 
+    /// Whether `id` has a slot.
+    pub fn contains(&self, id: DataItemId) -> bool {
+        self.get(id).is_some()
+    }
+
+    /// Mutable access to the state for `id`, if present.
+    pub fn get_mut(&mut self, id: DataItemId) -> Option<&mut V> {
+        if id.0 < DENSE_ID_LIMIT {
+            self.dense.get_mut(id.0 as usize)?.as_mut()
+        } else {
+            self.spill.get_mut(&id.0)
+        }
+    }
+
     /// The state for `id`, inserting `make()` on first access.
     pub fn get_or_insert_with(&mut self, id: DataItemId, make: impl FnOnce() -> V) -> &mut V {
         if id.0 < DENSE_ID_LIMIT {
@@ -311,6 +325,15 @@ mod tests {
         let got: Vec<(u32, u32)> = m.iter().map(|(id, &v)| (id.0, v)).collect();
         let want: Vec<(u32, u32)> = reference.iter().map(|(&id, &v)| (id, v)).collect();
         assert_eq!(got, want, "iteration order and contents match BTreeMap");
+        for id in [0, 1, 3, 17, 18, DENSE_ID_LIMIT + 5, DENSE_ID_LIMIT + 6] {
+            assert_eq!(m.contains(DataItemId(id)), reference.contains_key(&id));
+            assert_eq!(
+                m.get_mut(DataItemId(id)).copied(),
+                reference.get_mut(&id).copied()
+            );
+        }
+        *m.get_mut(DataItemId(DENSE_ID_LIMIT + 5)).unwrap() += 1;
+        *reference.get_mut(&(DENSE_ID_LIMIT + 5)).unwrap() += 1;
         assert_eq!(m.remove(DataItemId(3)), reference.remove(&3));
         assert_eq!(m.remove(DataItemId(3)), None);
         assert_eq!(

@@ -388,10 +388,18 @@ impl ColocatedDaemon {
 
     /// Processes one logical record; returns the plans this record caused
     /// (zero or more scheduled boundaries it crossed, plus at most one
-    /// trigger cut). `Err` only for fatal supervision failures (a
-    /// quarantined shard, or a worker the supervisor could not rebuild) —
-    /// recoverable incidents are absorbed and the fold continues.
+    /// trigger cut). `Err` for a record whose item the storage unit does
+    /// not place ([`OnlineError::UnknownItem`], returned before any state
+    /// changes) and for fatal supervision failures (a quarantined shard,
+    /// or a worker the supervisor could not rebuild) — recoverable
+    /// incidents are absorbed and the fold continues.
     pub fn step(&mut self, rec: LogicalIoRecord) -> Result<Vec<PlanEnvelope>, OnlineError> {
+        if self.harness.home(rec.item).is_none() {
+            return Err(OnlineError::UnknownItem {
+                record: self.events + 1,
+                item: rec.item,
+            });
+        }
         let mut plans = Vec::new();
         // Period boundaries at or before this record.
         while self.controller.needs_rollover(rec.ts) {

@@ -10,6 +10,7 @@
 //! replayed) and aborts only on *fatal* ones (a quarantined shard whose
 //! state is gone, a checkpoint that fails to decode).
 
+use ees_iotrace::DataItemId;
 use std::fmt;
 use std::io;
 
@@ -53,6 +54,14 @@ pub enum OnlineError {
     Io(io::Error),
     /// A checkpoint failed to encode, decode, or validate.
     Checkpoint(String),
+    /// A record names an item the storage unit has no placement for, so
+    /// it cannot be served. Checked before the record touches any state.
+    UnknownItem {
+        /// 1-based number of the record in the daemon's event stream.
+        record: u64,
+        /// The unplaced item id.
+        item: DataItemId,
+    },
 }
 
 impl OnlineError {
@@ -63,6 +72,7 @@ impl OnlineError {
             OnlineError::WorkerPanic { severity, .. } => *severity,
             OnlineError::Io(_) => Severity::Fatal,
             OnlineError::Checkpoint(_) => Severity::Fatal,
+            OnlineError::UnknownItem { .. } => Severity::Fatal,
         }
     }
 }
@@ -84,6 +94,11 @@ impl fmt::Display for OnlineError {
             }
             OnlineError::Io(e) => write!(f, "i/o error: {e}"),
             OnlineError::Checkpoint(msg) => write!(f, "checkpoint: {msg}"),
+            OnlineError::UnknownItem { record, item } => write!(
+                f,
+                "record {record}: item id {} is not in the catalog",
+                item.0
+            ),
         }
     }
 }

@@ -171,26 +171,37 @@ impl StreamHarness {
         &self.views_buf
     }
 
+    /// The home enclosure of `item` (a dense lookup), or `None` when the
+    /// item is not placed — a record for it cannot be served.
+    pub fn home(&self, item: DataItemId) -> Option<EnclosureId> {
+        self.item_home
+            .get(item.0 as usize)
+            .copied()
+            .filter(|&h| h != NO_HOME)
+            .map(EnclosureId)
+    }
+
     /// Serves one logical record through cache and placement to an
     /// enclosure, accounting it against the current period.
+    ///
+    /// # Panics
+    /// Panics if the record's item is not placed; callers fed untrusted
+    /// input check [`home`](Self::home) first.
     pub fn serve(&mut self, rec: LogicalIoRecord) -> ServedIo {
         let t = rec.ts;
         // Dense home lookup; the redirect map is only consulted while a
         // block-granular policy actually has redirects installed.
         let home = self
-            .item_home
-            .get(rec.item.0 as usize)
-            .copied()
-            .filter(|&h| h != NO_HOME)
+            .home(rec.item)
             .expect("trace references an unplaced item");
         let enclosure = if self.redirects.is_empty() {
-            EnclosureId(home)
+            home
         } else {
             let extent = rec.offset / REDIRECT_EXTENT_BYTES;
             self.redirects
                 .get(&(rec.item, extent))
                 .map(|&(loc, _)| loc)
-                .unwrap_or(EnclosureId(home))
+                .unwrap_or(home)
         };
 
         // Route through the cache; fall through to a physical I/O.

@@ -15,10 +15,11 @@
 //! they are acknowledged — this is what lets the paper keep the DBMS's
 //! ACID guarantee while delaying physical writes (§II.E.2).
 
-use ees_iotrace::{DataItemId, Micros, MIB};
+use ees_iotrace::{DataItemId, DenseItemMap, Micros, MIB};
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Cache geometry and behaviour parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -63,11 +64,57 @@ impl CacheConfig {
     }
 }
 
+/// Multiply-rotate hasher for the LRU's key → slot map (the FxHash
+/// step, with a final rotate that moves the product's well-mixed high
+/// bits down to where the table takes its bucket index). Deterministic
+/// and a few cycles per word, against SipHash's per-record cost on the
+/// serve path. The map is never iterated, so the hash cannot change
+/// which key gets evicted. It gives up SipHash's resistance to crafted
+/// collisions: extents come from trace offsets, but the map never holds
+/// more than the LRU's capacity, which bounds any collision chain.
+#[derive(Debug, Clone, Copy, Default)]
+struct MulRotHasher(u64);
+
+impl MulRotHasher {
+    const SEED: u64 = 0x517c_c1b7_2722_0a95;
+
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(Self::SEED);
+    }
+}
+
+impl Hasher for MulRotHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    // The (item, extent) key hashes as one u32 and one u64 word.
+    #[inline]
+    fn write_u32(&mut self, v: u32) {
+        self.add(v as u64);
+    }
+
+    #[inline]
+    fn write_u64(&mut self, v: u64) {
+        self.add(v);
+    }
+}
+
 /// A fixed-capacity LRU set with O(1) touch/insert/evict, used for the
 /// general read cache (capacity counted in entries, i.e. extents).
 #[derive(Debug, Clone)]
 pub struct LruSet<K: std::hash::Hash + Eq + Clone> {
-    map: HashMap<K, usize>,
+    map: HashMap<K, usize, BuildHasherDefault<MulRotHasher>>,
     slots: Vec<Slot<K>>,
     head: usize, // most recently used
     tail: usize, // least recently used
@@ -86,9 +133,12 @@ const NIL: usize = usize::MAX;
 impl<K: std::hash::Hash + Eq + Clone> LruSet<K> {
     /// Creates an LRU set holding at most `capacity` keys.
     pub fn new(capacity: usize) -> Self {
+        let reserve = capacity.min(1 << 20);
         LruSet {
-            map: HashMap::with_capacity(capacity.min(1 << 20)),
-            slots: Vec::with_capacity(capacity.min(1 << 20)),
+            // One spare entry: an eviction inserts the new key before it
+            // removes the victim's, and must not trigger a table grow.
+            map: HashMap::with_capacity_and_hasher(reserve + 1, Default::default()),
+            slots: Vec::with_capacity(reserve),
             head: NIL,
             tail: NIL,
             capacity,
@@ -106,37 +156,39 @@ impl<K: std::hash::Hash + Eq + Clone> LruSet<K> {
     }
 
     /// Looks `key` up, inserting it (and evicting the LRU key if full) on a
-    /// miss. Returns `true` on a hit.
+    /// miss. Returns `true` on a hit. The key is hashed once: a miss
+    /// inserts through the vacant entry the lookup found.
     pub fn touch(&mut self, key: K) -> bool {
         if self.capacity == 0 {
             return false;
         }
-        match self.map.entry(key.clone()) {
+        match self.map.entry(key) {
             Entry::Occupied(e) => {
                 let idx = *e.get();
                 self.unlink(idx);
                 self.push_front(idx);
                 true
             }
-            Entry::Vacant(_) => {
-                if self.map.len() >= self.capacity {
-                    let victim = self.tail;
-                    debug_assert_ne!(victim, NIL);
-                    self.unlink(victim);
-                    let old = std::mem::replace(&mut self.slots[victim].key, key.clone());
+            Entry::Vacant(e) => {
+                // `slots` grows in step with the map, so its length is
+                // the resident count before this insert.
+                let full = self.slots.len() >= self.capacity;
+                let idx = if full { self.tail } else { self.slots.len() };
+                debug_assert_ne!(idx, NIL);
+                let key = e.key().clone();
+                e.insert(idx);
+                if full {
+                    self.unlink(idx);
+                    let old = std::mem::replace(&mut self.slots[idx].key, key);
                     self.map.remove(&old);
-                    self.map.insert(key, victim);
-                    self.push_front(victim);
                 } else {
-                    let idx = self.slots.len();
                     self.slots.push(Slot {
-                        key: key.clone(),
+                        key,
                         prev: NIL,
                         next: NIL,
                     });
-                    self.map.insert(key, idx);
-                    self.push_front(idx);
                 }
+                self.push_front(idx);
                 false
             }
         }
@@ -182,16 +234,30 @@ impl<K: std::hash::Hash + Eq + Clone> LruSet<K> {
 /// Dirty bytes to be written back, per data item, produced by a flush.
 pub type FlushSet = Vec<(DataItemId, u64)>;
 
+/// Write-delay slot value of an item with no dirty bytes buffered.
+const CLEAN: u32 = u32::MAX;
+
 /// The storage cache.
+///
+/// Everything the per-record path asks is answered from dense per-item
+/// maps: preload membership from a flag map, write-delay membership and
+/// the item's dirty-byte entry from one slot map. Ids at or above
+/// [`DENSE_ID_LIMIT`](ees_iotrace::DENSE_ID_LIMIT) spill to the maps'
+/// ordered side tables, so sparse ids stay correct.
 #[derive(Debug, Clone)]
 pub struct StorageCache {
     cfg: CacheConfig,
-    /// Items pinned by the preload function, with their sizes.
+    /// Items pinned by the preload function, with their sizes, in id
+    /// order (for the load diff and [`preloaded_items`](Self::preloaded_items)).
     preload: BTreeMap<DataItemId, u64>,
-    /// Items under write delay.
-    write_delay: BTreeSet<DataItemId>,
-    /// Dirty bytes per write-delayed item.
-    dirty: BTreeMap<DataItemId, u64>,
+    /// Membership flags mirroring `preload`'s keys.
+    preloaded: DenseItemMap<()>,
+    /// Items under write delay → index of their entry in `dirty`, or
+    /// [`CLEAN`] while they have none.
+    write_delay: DenseItemMap<u32>,
+    /// Dirty bytes per write-delayed item, in first-write order; sorted
+    /// by id when flushed, so every flush set is in ascending id order.
+    dirty: Vec<(DataItemId, u64)>,
     dirty_total: u64,
     /// General read cache over (item, extent) pairs.
     general: LruSet<(DataItemId, u64)>,
@@ -210,8 +276,9 @@ impl StorageCache {
         StorageCache {
             cfg,
             preload: BTreeMap::new(),
-            write_delay: BTreeSet::new(),
-            dirty: BTreeMap::new(),
+            preloaded: DenseItemMap::new(),
+            write_delay: DenseItemMap::new(),
+            dirty: Vec::new(),
             dirty_total: 0,
             general: LruSet::new(general_entries),
             preload_hits: 0,
@@ -243,16 +310,20 @@ impl StorageCache {
         let new: BTreeMap<DataItemId, u64> = items.into_iter().collect();
         let to_load: Vec<(DataItemId, u64)> = new
             .iter()
-            .filter(|(id, _)| !self.preload.contains_key(id))
+            .filter(|(&id, _)| !self.preloaded.contains(id))
             .map(|(&id, &s)| (id, s))
             .collect();
+        self.preloaded.clear();
+        for &id in new.keys() {
+            self.preloaded.insert(id, ());
+        }
         self.preload = new;
         to_load
     }
 
     /// Whether reads of `item` are served from the preload partition.
     pub fn is_preloaded(&self, item: DataItemId) -> bool {
-        self.preload.contains_key(&item)
+        self.preloaded.contains(item)
     }
 
     /// Items currently pinned by the preload function.
@@ -263,29 +334,36 @@ impl StorageCache {
     /// Replaces the write-delay set (§V.B). Dirty bytes of items that left
     /// the set must be written out immediately (§V.B: "indicates to write
     /// updated data items onto disk enclosures when the *write delay
-    /// applied* data items are changed"); they are returned as a flush set.
+    /// applied* data items are changed"); they are returned as a flush
+    /// set, in ascending id order.
     pub fn set_write_delay(&mut self, items: impl IntoIterator<Item = DataItemId>) -> FlushSet {
-        let new: BTreeSet<DataItemId> = items.into_iter().collect();
-        let mut out = Vec::new();
-        let removed: Vec<DataItemId> = self
-            .dirty
-            .keys()
-            .filter(|id| !new.contains(id))
-            .copied()
-            .collect();
-        for id in removed {
-            if let Some(bytes) = self.dirty.remove(&id) {
-                self.dirty_total -= bytes;
-                out.push((id, bytes));
-            }
+        self.write_delay.clear();
+        for id in items {
+            self.write_delay.insert(id, CLEAN);
         }
-        self.write_delay = new;
+        self.dirty.sort_unstable_by_key(|&(id, _)| id);
+        let mut out = Vec::new();
+        let mut kept = 0;
+        let (write_delay, dirty_total) = (&mut self.write_delay, &mut self.dirty_total);
+        self.dirty
+            .retain(|&(id, bytes)| match write_delay.get_mut(id) {
+                Some(slot) => {
+                    *slot = kept;
+                    kept += 1;
+                    true
+                }
+                None => {
+                    *dirty_total -= bytes;
+                    out.push((id, bytes));
+                    false
+                }
+            });
         out
     }
 
     /// Whether writes to `item` are buffered by the write-delay function.
     pub fn is_write_delayed(&self, item: DataItemId) -> bool {
-        self.write_delay.contains(&item)
+        self.write_delay.contains(item)
     }
 
     /// Buffers one write to a write-delayed item. Returns a flush set when
@@ -293,13 +371,17 @@ impl StorageCache {
     /// back in one go.
     ///
     /// # Panics
-    /// Panics (debug only) if `item` is not under write delay.
+    /// Panics if `item` is not under write delay.
     pub fn buffer_write(&mut self, item: DataItemId, len: u32) -> Option<FlushSet> {
-        debug_assert!(
-            self.write_delay.contains(&item),
-            "buffer_write on an item not under write delay"
-        );
-        *self.dirty.entry(item).or_insert(0) += len as u64;
+        let slot = self
+            .write_delay
+            .get_mut(item)
+            .expect("buffer_write on an item not under write delay");
+        if *slot == CLEAN {
+            *slot = u32::try_from(self.dirty.len()).expect("fewer dirty items than ids");
+            self.dirty.push((item, 0));
+        }
+        self.dirty[*slot as usize].1 += len as u64;
         self.dirty_total += len as u64;
         self.buffered_writes += 1;
         if self.dirty_total >= self.cfg.flush_threshold() {
@@ -310,14 +392,21 @@ impl StorageCache {
     }
 
     /// Flushes all dirty bytes (threshold crossing, set change, or end of
-    /// run) and returns them per item.
+    /// run) and returns them per item, in ascending id order.
     pub fn flush_all(&mut self) -> FlushSet {
         if self.dirty.is_empty() {
             return Vec::new();
         }
         self.flushes += 1;
         self.dirty_total = 0;
-        std::mem::take(&mut self.dirty).into_iter().collect()
+        for &(id, _) in &self.dirty {
+            *self
+                .write_delay
+                .get_mut(id)
+                .expect("dirty items are under write delay") = CLEAN;
+        }
+        self.dirty.sort_unstable_by_key(|&(id, _)| id);
+        std::mem::take(&mut self.dirty)
     }
 
     /// Dirty bytes currently buffered.
@@ -329,7 +418,7 @@ impl StorageCache {
     /// then the general extent LRU (which also admits on miss). Returns
     /// `true` when the read is absorbed by the cache.
     pub fn read_lookup(&mut self, item: DataItemId, offset: u64) -> bool {
-        if self.preload.contains_key(&item) {
+        if self.preloaded.contains(item) {
             self.preload_hits += 1;
             return true;
         }

@@ -110,12 +110,21 @@ pub struct DiskEnclosure {
     /// Power-status transition log: one entry per Off / SpinUp / On
     /// change (not per active/idle flicker), for timeline analysis.
     status_log: Vec<(Micros, PowerMode)>,
+    /// `cfg.service.occupancy(access, kind)`, indexed
+    /// `[access as usize][kind as usize]`, evaluated once at
+    /// construction (`cfg` never changes afterwards), so `submit` does
+    /// no float divide or rounding per I/O.
+    occupancy: [[Micros; 2]; 2],
+    /// `cfg.service.latency(access)`, indexed `[access as usize]`.
+    latency: [Micros; 2],
 }
 
 impl DiskEnclosure {
     /// Creates a powered-on, idle enclosure at time zero, not eligible for
     /// power-off (the safe default every policy starts from).
     pub fn new(id: EnclosureId, cfg: EnclosureConfig) -> Self {
+        let service = cfg.service;
+        let accesses = [Access::Random, Access::Sequential];
         DiskEnclosure {
             id,
             cfg,
@@ -128,6 +137,9 @@ impl DiskEnclosure {
             stats: EnclosureStats::default(),
             used_bytes: 0,
             status_log: vec![(Micros::ZERO, PowerMode::Idle)],
+            occupancy: accesses
+                .map(|a| [IoKind::Read, IoKind::Write].map(|k| service.occupancy(a, k))),
+            latency: accesses.map(|a| service.latency(a)),
         }
     }
 
@@ -224,7 +236,7 @@ impl DiskEnclosure {
         self.advance(t);
         let (power_ready, triggered_spin_up) = self.ensure_powered(t);
         let start = self.busy_until.max(power_ready).max(t);
-        let occupancy = self.cfg.service.occupancy(access, kind);
+        let occupancy = self.occupancy[access as usize][kind as usize];
         self.busy_until = start + occupancy;
 
         self.stats.ios += 1;
@@ -235,7 +247,7 @@ impl DiskEnclosure {
         self.stats.bytes += len as u64;
 
         IoOutcome {
-            response: (start - t) + occupancy + self.cfg.service.latency(access),
+            response: (start - t) + occupancy + self.latency[access as usize],
             power_wait: power_ready.saturating_sub(t),
             triggered_spin_up,
         }
@@ -411,6 +423,22 @@ mod tests {
         // occupancy 1/900 s + random latency ≈ 1.111 ms + 13.25 ms.
         let expect = Micros::from_secs_f64(1.0 / 900.0) + Micros(13_250);
         assert_eq!(out.response, expect);
+    }
+
+    #[test]
+    fn cached_service_times_match_the_model() {
+        let e = enc();
+        let service = e.config().service;
+        for access in [Access::Random, Access::Sequential] {
+            for kind in [IoKind::Read, IoKind::Write] {
+                assert_eq!(
+                    e.occupancy[access as usize][kind as usize],
+                    service.occupancy(access, kind),
+                    "{access:?} {kind:?}"
+                );
+            }
+            assert_eq!(e.latency[access as usize], service.latency(access));
+        }
     }
 
     #[test]
