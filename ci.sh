@@ -49,8 +49,9 @@ grep -q '"reason":"boundary"' "$SMOKE_DIR/online.json" \
 echo "online smoke OK"
 
 echo "== online throughput smoke (100k events -> BENCH_online.json) =="
-# Times the serial monitor driver against the sharded one (parallel
-# ingest front end: one reader per shard) on a fixed 100k-event stream,
+# Times the serial monitor driver (parse and fold inline on one thread)
+# against the sharded one (parallel ingest front end: one reader per
+# shard) on a fixed 100k-event stream,
 # plus the same stream as a framed ees.event.v1 slice through the
 # zero-copy binary front end (median of 3 runs per driver, after a
 # warm-up). It also times the borrowed-line NDJSON parser alone

@@ -1,16 +1,13 @@
 //! Benchmarks for the sharded online pipeline: the zero-copy parse path
-//! the shard workers run, the minimal `(ts, item)` routing scan, and the
-//! end-to-end monitor drivers (serial per-event ingest vs. raw-line
-//! sharded routing) over the same in-memory NDJSON stream.
+//! the parser threads run and the end-to-end monitor drivers (serial
+//! inline parse vs. the sharded parallel front end) over the same
+//! in-memory NDJSON stream.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use ees_core::{merge_shard_reports, ItemReport, ProposedConfig};
-use ees_iotrace::ndjson::{parse_event, parse_event_borrowed, quick_scan_ts_item};
+use ees_iotrace::ndjson::{parse_event, parse_event_borrowed};
 use ees_iotrace::{DataItemId, EnclosureId, IoKind, LatencyHistogram, LogicalIoRecord, Micros};
-use ees_online::{
-    run_monitor_serial, run_monitor_sharded, run_monitor_sharded_with, shard_of,
-    IncrementalClassifier, ShardOptions,
-};
+use ees_online::{run_monitor_serial, run_monitor_sharded, shard_of, IncrementalClassifier};
 use ees_replay::CatalogItem;
 use ees_simstorage::{Access, PlacementMap, StorageConfig};
 use std::collections::BTreeSet;
@@ -78,17 +75,6 @@ fn bench_online_sharded(c: &mut Criterion) {
         })
     });
 
-    c.bench_function("ndjson_quick_scan_20k", |b| {
-        b.iter(|| {
-            let mut n = 0u64;
-            for line in &lines {
-                let (ts, item) = quick_scan_ts_item(black_box(line)).unwrap();
-                n += ts ^ item as u64;
-            }
-            black_box(n)
-        })
-    });
-
     c.bench_function("monitor_serial_20k", |b| {
         b.iter(|| {
             let out = run_monitor_serial(
@@ -98,40 +84,30 @@ fn bench_online_sharded(c: &mut Criterion) {
                 &storage,
                 policy(),
                 None,
-                1024,
             )
             .unwrap();
             black_box(out.plans.len())
         })
     });
 
-    // Legacy single-reader front end (readers == 1) vs. the parallel
-    // front end at one reader per shard (readers == 0, the default):
-    // the difference is the single-reader ingest bottleneck this crate's
-    // BENCH_online gate tracks.
+    // The parallel front end at one reader per shard (the default).
     for shards in [2usize, 4] {
-        for (tag, readers) in [("readers1", 1usize), ("parallel", 0)] {
-            let name = format!("monitor_sharded_20k_{shards}_{tag}");
-            c.bench_function(&name, |b| {
-                b.iter(|| {
-                    let out = run_monitor_sharded_with(
-                        Cursor::new(text.clone()),
-                        &items,
-                        ENCLOSURES,
-                        &storage,
-                        policy(),
-                        None,
-                        shards,
-                        ShardOptions {
-                            readers,
-                            ..ShardOptions::default()
-                        },
-                    )
-                    .unwrap();
-                    black_box(out.plans.len())
-                })
-            });
-        }
+        let name = format!("monitor_sharded_20k_{shards}_parallel");
+        c.bench_function(&name, |b| {
+            b.iter(|| {
+                let out = run_monitor_sharded(
+                    Cursor::new(text.clone()),
+                    &items,
+                    ENCLOSURES,
+                    &storage,
+                    policy(),
+                    None,
+                    shards,
+                )
+                .unwrap();
+                black_box(out.plans.len())
+            })
+        });
     }
 }
 

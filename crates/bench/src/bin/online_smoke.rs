@@ -1,5 +1,7 @@
 //! The 100k-event online throughput smoke: times the serial monitor
-//! driver against the sharded one — on the NDJSON text and on its
+//! driver (parse and fold inline on one thread) against the sharded one
+//! (parallel ingest front end, one reader per shard) — on the NDJSON
+//! text and on its
 //! framed `ees.event.v1` binary rendering through the zero-copy slice
 //! path a memory-mapped file takes — and writes the figures to a flat
 //! all-`u64` JSON file (`BENCH_online.json`) that
@@ -120,7 +122,6 @@ fn run(shards: Option<usize>, text: &str) -> (MonitorOutcome, u64) {
             &storage,
             policy(),
             None,
-            1024,
         ),
         Some(n) => run_monitor_sharded(
             Cursor::new(text.to_string()),

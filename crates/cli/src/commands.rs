@@ -33,10 +33,10 @@ use ees_iotrace::{
     analyze_item_period, fmt_bytes, map_file, split_by_item, summarize, ItemInterner, Micros, Span,
 };
 use ees_online::{
-    read_checkpoint_file, run_chaos, run_endurance, silence_injected_panics, spawn_net_ingest,
-    spawn_reader_batched_pooled, spawn_reader_parallel, spawn_reader_parallel_mapped,
-    write_checkpoint_file, ChaosConfig, ColocatedDaemon, EnduranceConfig, NetListener, NetOptions,
-    OverflowPolicy, PanicSchedule, RolloverReason, ShardOptions, SupervisionPolicy,
+    read_checkpoint_file, read_up_to, run_chaos, run_endurance, silence_injected_panics,
+    spawn_net_ingest, spawn_reader_parallel, spawn_reader_parallel_mapped, write_checkpoint_file,
+    ChaosConfig, ColocatedDaemon, EnduranceConfig, NetListener, NetOptions, OverflowPolicy,
+    PanicSchedule, RolloverReason, ShardOptions, SupervisionPolicy,
 };
 use ees_policy::{NoPowerSaving, PowerPolicy};
 use ees_replay::{run, CatalogItem, ReplayOptions};
@@ -46,7 +46,7 @@ use ees_workloads::{items_from_json, items_to_json};
 use ees_workloads::{CloudBlockParams, DssParams, FileServerParams, OltpParams};
 use std::fmt;
 use std::fs::File;
-use std::io::{BufRead, BufReader, BufWriter, Write as _};
+use std::io::{BufRead, BufReader, BufWriter, Read as _, Write as _};
 use std::path::{Path, PathBuf};
 
 /// Errors surfaced to the CLI user.
@@ -583,7 +583,7 @@ fn online(pos: &[String], flags: &Flags, out: &mut dyn std::io::Write) -> Result
     // `queue` events in `batch`-record deliveries, and each shard's ring
     // gets the matching depth in batches (at least double-buffered).
     // `--readers 0` (the default) sizes the parse pool at one reader per
-    // shard; `--readers 1` keeps the legacy single-reader front end.
+    // shard; `--readers 1` runs one parser thread.
     let mut shard_options = ShardOptions {
         queue: flags.queue.div_ceil(flags.batch).max(2),
         readers: flags.readers,
@@ -644,15 +644,12 @@ fn online(pos: &[String], flags: &Flags, out: &mut dyn std::io::Write) -> Result
     } else {
         OverflowPolicy::Block
     };
-    // `--queue` is denominated in events; the batched reader's channel
-    // counts batches, so convert (rounding up to at least one batch).
+    // `--queue` is denominated in events; the ingest queue counts
+    // batches, so convert (rounding up to at least one batch).
     let capacity = flags.queue.div_ceil(flags.batch).max(1);
-    // More than one resolved reader selects the parallel front end:
-    // same queue, batching, and backpressure policy, but the parse fans
-    // out over `readers` threads instead of one. Regular files are
-    // memory-mapped and their format checked up front; binary streams
-    // always take the parallel front end (the batched serial reader is
-    // line-oriented), even at one reader.
+    // Every input goes through the parallel front end, its parse fanned
+    // out over `readers` threads. Regular files are memory-mapped and
+    // their format checked up front; pipes and stdin are streamed.
     let mut input_format: Option<StreamFormat> = None;
     let mut input_framed = false;
     let (rx, pool, live, conn_counters, reader) = match &flags.listen {
@@ -694,20 +691,15 @@ fn online(pos: &[String], flags: &Flags, out: &mut dyn std::io::Write) -> Result
                 }
                 None => {
                     // Pipes, stdin, or a platform without mmap: stream.
-                    let mut input: Box<dyn BufRead + Send> = if trace_arg == "-" {
+                    let input: Box<dyn BufRead + Send> = if trace_arg == "-" {
                         Box::new(BufReader::new(std::io::stdin()))
                     } else {
                         Box::new(BufReader::new(File::open(trace_arg)?))
                     };
-                    let prefix = input.fill_buf()?;
-                    let format = sniff_format(prefix);
+                    let (format, framed, input) = sniff_stream(input)?;
                     input_format = Some(format);
-                    input_framed = format == StreamFormat::Binary && is_framed(prefix);
-                    if readers > 1 || format == StreamFormat::Binary {
-                        spawn_reader_parallel(input, capacity, flags.batch, overflow, readers, 0)
-                    } else {
-                        spawn_reader_batched_pooled(input, capacity, flags.batch, overflow)
-                    }
+                    input_framed = framed;
+                    spawn_reader_parallel(input, capacity, flags.batch, overflow, readers, 0)
                 }
             };
             (rx, pool, live, None, reader)
@@ -840,6 +832,20 @@ fn online(pos: &[String], flags: &Flags, out: &mut dyn std::io::Write) -> Result
         summary.avg_response.as_millis_f64()
     )?;
     Ok(())
+}
+
+/// A streamed trace's chained-back input, as [`sniff_stream`] returns it.
+type Sniffed<R> = std::io::Chain<std::io::Cursor<Vec<u8>>, R>;
+
+/// Sniffs a streamed trace's format and block framing from its first
+/// five bytes — the `ees.event.v1` magic plus the first record tag —
+/// reading until all five arrive or the stream ends, however few bytes
+/// each read returns. The prefix is chained back onto the stream.
+fn sniff_stream<R: BufRead>(mut input: R) -> std::io::Result<(StreamFormat, bool, Sniffed<R>)> {
+    let prefix = read_up_to(&mut input, 5)?;
+    let format = sniff_format(&prefix);
+    let framed = format == StreamFormat::Binary && is_framed(&prefix);
+    Ok((format, framed, std::io::Cursor::new(prefix).chain(input)))
 }
 
 /// `ees transcode`: converts a captured event stream between NDJSON and
@@ -1213,9 +1219,9 @@ mod tests {
                 .replace("\"readers\": 4", "\"readers\": N"),
         );
 
-        // Forcing the legacy single-reader front end must not change the
-        // plans either — only the declared reader count.
-        let legacy = run_to_string(&[
+        // One parser thread must not change the plans either — only the
+        // declared reader count.
+        let one_reader = run_to_string(&[
             "online",
             trace.to_str().unwrap(),
             items.to_str().unwrap(),
@@ -1228,10 +1234,10 @@ mod tests {
             "--json",
         ])
         .unwrap();
-        assert!(legacy.contains("\"readers\": 1"), "{legacy}");
+        assert!(one_reader.contains("\"readers\": 1"), "{one_reader}");
         assert_eq!(
             sharded.replace("\"readers\": 4", "\"readers\": N"),
-            legacy.replace("\"readers\": 1", "\"readers\": N"),
+            one_reader.replace("\"readers\": 1", "\"readers\": N"),
         );
 
         // The transport knobs are declared in the report but must not
@@ -1489,5 +1495,49 @@ mod tests {
         assert!(msg.contains("quarantined"), "{msg}");
         assert!(matches!(err, CliError::Parse(_)), "fatal, not usage");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A pipe whose writer hands over one byte per read.
+    struct OneByteReads(std::io::Cursor<Vec<u8>>);
+
+    impl std::io::Read for OneByteReads {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = buf.len().min(1);
+            self.0.read(&mut buf[..n])
+        }
+    }
+
+    #[test]
+    fn stream_sniff_sees_the_whole_prefix_through_one_byte_reads() {
+        // A binary sender whose first write is shorter than the magic
+        // plus the first tag: the sniff must still report a framed
+        // binary stream, and every record must come through the front
+        // end at one reader and at four.
+        let records: Vec<ees_iotrace::LogicalIoRecord> = (0..300u64)
+            .map(|i| ees_iotrace::LogicalIoRecord {
+                ts: Micros(i * 1_000),
+                item: ees_iotrace::DataItemId((i % 7) as u32),
+                offset: i * 4096,
+                len: 4096,
+                kind: ees_iotrace::IoKind::Read,
+            })
+            .collect();
+        let framed = ees_iotrace::wire::encode_events_framed(&records, 256);
+        for readers in [1, 4] {
+            let pipe =
+                BufReader::with_capacity(1, OneByteReads(std::io::Cursor::new(framed.clone())));
+            let (format, is_framed, input) = sniff_stream(pipe).unwrap();
+            assert_eq!(format, StreamFormat::Binary, "readers={readers}");
+            assert!(is_framed, "readers={readers}");
+            let (rx, _pool, _live, reader) =
+                spawn_reader_parallel(input, 8, 64, OverflowPolicy::Block, readers, 0);
+            let got: Vec<_> = rx.iter().flatten().collect();
+            reader.join().unwrap().unwrap();
+            assert_eq!(got, records, "readers={readers}");
+        }
+        // A stream shorter than the prefix is sniffed from what there is.
+        let (format, is_framed, _) = sniff_stream(&b"{}\n"[..]).unwrap();
+        assert_eq!(format, StreamFormat::Ndjson);
+        assert!(!is_framed);
     }
 }

@@ -13,6 +13,11 @@
 //! * a line longer than the block size keeps the reader filling until
 //!   its newline arrives — the chunk grows past the target rather than
 //!   splitting the line;
+//! * a read that comes back short and ends on a newline cuts the chunk
+//!   early — a live pipe is delivered write by write instead of waiting
+//!   for a full block (a [`Cursor`](std::io::Cursor) reads short only at
+//!   its end, so in-memory input still chunks exactly like
+//!   [`SliceChunker`]);
 //! * at end of input the carry is flushed as a final chunk even without
 //!   a trailing newline — the last line of an unterminated file is never
 //!   dropped;
@@ -169,7 +174,16 @@ impl<R: Read> ChunkReader<R> {
                     // Final flush: the last line may lack its newline.
                     return Ok(Some(self.emit(buf)));
                 }
-                Ok(n) => buf.truncate(old + n),
+                Ok(n) => {
+                    buf.truncate(old + n);
+                    // A short read ending a line means the source had
+                    // nothing more ready (a pipe between writes): cut
+                    // here so a trickling stream is delivered as it
+                    // arrives instead of after a full target.
+                    if n < self.target && buf.last() == Some(&b'\n') {
+                        return Ok(Some(self.emit(buf)));
+                    }
+                }
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {
                     buf.truncate(old);
                 }

@@ -337,9 +337,7 @@ fn resolve<'a>(raw: &'a str, has_escape: bool) -> Result<Cow<'a, str>, String> {
 /// Field order and whitespace are free, unknown fields are skipped (but
 /// still validated). Duplicate keys keep the **first** occurrence —
 /// later duplicates are validated syntactically and then skipped like
-/// unknown fields — the same rule [`quick_scan_ts_item`] applies, so
-/// the fast scan and the full parse can never route one line to two
-/// different shards (property-tested in `tests/ndjson_prop.rs`).
+/// unknown fields.
 pub fn parse_event_borrowed(line: &str) -> Result<LogicalIoRecord, String> {
     let b = line.as_bytes();
     let mut i = 0usize;
@@ -617,82 +615,6 @@ fn parse_event_named_slow(line: &str) -> Result<NamedEvent, ()> {
         len: u32::try_from(len.ok_or(())?).map_err(|_| ())?,
         kind: kind.ok_or(())?,
     })
-}
-
-/// Extracts the `ts` and `item` values of an event line with a minimal
-/// forward scan, without parsing the other fields.
-///
-/// Used by the sharded ingest router, which needs only the rollover
-/// timestamp and the shard key before handing the raw line to a worker
-/// for full parsing. Returns `None` when the line is not a flat object
-/// with plain (escape-free) keys and numeric `ts`/`item` values in any
-/// order, or when anything trails the closing brace — callers must then
-/// fall back to [`parse_event_borrowed`], which either produces the
-/// record or the precise error.
-///
-/// Duplicate keys keep the **first** occurrence, the same rule the full
-/// parser applies — the invariant the shard router depends on is that
-/// whenever this scan returns `Some((ts, item))` *and* the full parse
-/// succeeds, the parsed record carries exactly that `ts` and `item`.
-pub fn quick_scan_ts_item(line: &str) -> Option<(u64, u32)> {
-    let b = line.as_bytes();
-    let mut i = 0usize;
-    skip_ws(b, &mut i);
-    if i >= b.len() || b[i] != b'{' {
-        return None;
-    }
-    i += 1;
-    let mut ts = None;
-    let mut item = None;
-    loop {
-        skip_ws(b, &mut i);
-        let (key, esc) = scan_string(line, &mut i).ok()?;
-        if esc {
-            return None; // escaped keys: let the full parser decide
-        }
-        skip_ws(b, &mut i);
-        if i >= b.len() || b[i] != b':' {
-            return None;
-        }
-        i += 1;
-        skip_ws(b, &mut i);
-        // First occurrence wins, matching the full parser; a later
-        // duplicate is skipped like an unknown field, whatever its type.
-        let want = (key == "ts" && ts.is_none()) || (key == "item" && item.is_none());
-        if i < b.len() && b[i] == b'"' {
-            if want {
-                return None; // string claims the key: the full parser errors
-            }
-            scan_string(line, &mut i).ok()?;
-        } else if i < b.len() && b[i].is_ascii_digit() {
-            let n = parse_digit_run(b, &mut i).ok()?;
-            if want {
-                if key == "ts" {
-                    ts = Some(n);
-                } else {
-                    item = Some(n);
-                }
-            }
-        } else {
-            return None;
-        }
-        skip_ws(b, &mut i);
-        match b.get(i) {
-            Some(b',') => i += 1,
-            Some(b'}') => {
-                i += 1;
-                break;
-            }
-            _ => return None,
-        }
-    }
-    // Anything after the closing brace (other than whitespace) makes the
-    // full parser reject the line — decline so the precise error wins.
-    skip_ws(b, &mut i);
-    if i < b.len() {
-        return None;
-    }
-    Some((ts?, u32::try_from(item?).ok()?))
 }
 
 /// Splits the elements of a flat JSON array of objects (no nested arrays),
@@ -1067,37 +989,6 @@ mod tests {
                 assert_eq!(a, b, "records diverge on {line:?}");
             }
         }
-    }
-
-    #[test]
-    fn quick_scan_matches_full_parse_or_declines() {
-        let r = rec2(123, 45, 8, 512, IoKind::Write);
-        let line = format_event(&r);
-        assert_eq!(quick_scan_ts_item(&line), Some((123, 45)));
-        // Field order and whitespace tolerated.
-        assert_eq!(
-            quick_scan_ts_item(r#" { "kind":"Read", "item" : 7 , "ts": 9, "offset":0,"len":1 }"#),
-            Some((9, 7))
-        );
-        // Duplicate keys: first wins, same as the full parser.
-        assert_eq!(
-            quick_scan_ts_item(r#"{"ts":1,"ts":2,"item":3,"offset":0,"len":1,"kind":"Read"}"#),
-            Some((1, 3))
-        );
-        // A later duplicate with a string value is skipped, not a decline
-        // — the full parser skips it too and parses ts=1.
-        assert_eq!(
-            quick_scan_ts_item(r#"{"ts":1,"ts":"x","item":3,"offset":0,"len":1,"kind":"Read"}"#),
-            Some((1, 3))
-        );
-        // Anything unusual declines rather than guessing.
-        assert_eq!(quick_scan_ts_item("not json"), None);
-        assert_eq!(quick_scan_ts_item(r#"{"ts":"1","item":2}"#), None);
-        assert_eq!(quick_scan_ts_item(r#"{"item":2}"#), None);
-        // Trailing garbage after the object: the full parser rejects the
-        // line, so the scan must not route it.
-        assert_eq!(quick_scan_ts_item(r#"{"ts":1,"item":2} x"#), None);
-        assert_eq!(quick_scan_ts_item(r#"{"ts":1,"item":2}  "#), Some((1, 2)));
     }
 
     #[test]

@@ -24,6 +24,34 @@ fn split(input: &str, target: usize) -> Vec<RawChunk> {
         .unwrap()
 }
 
+/// A reader that hands out at most the next of `sizes` bytes per call
+/// (cycling) — the shape of a pipe whose writer trickles data in.
+struct ShortReads {
+    bytes: Vec<u8>,
+    pos: usize,
+    sizes: Vec<usize>,
+    call: usize,
+}
+
+impl std::io::Read for ShortReads {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let cap = self.sizes[self.call % self.sizes.len()];
+        self.call += 1;
+        let n = cap.min(buf.len()).min(self.bytes.len() - self.pos);
+        buf[..n].copy_from_slice(&self.bytes[self.pos..self.pos + n]);
+        self.pos += n;
+        Ok(n)
+    }
+}
+
+/// Every line of every chunk, with its absolute line number.
+fn numbered_lines(chunks: &[RawChunk]) -> Vec<(u64, Vec<u8>)> {
+    chunks
+        .iter()
+        .flat_map(|c| c.lines().map(|(n, l)| (n, l.to_vec())))
+        .collect()
+}
+
 proptest! {
     /// Concatenating the chunks reproduces the input byte for byte, with
     /// dense sequence numbers, correct first-line numbers, and interior
@@ -68,11 +96,7 @@ proptest! {
         if trailing_newline && !input.is_empty() {
             input.push('\n');
         }
-        let got = split(&input, target);
-        let all: Vec<(u64, Vec<u8>)> = got
-            .iter()
-            .flat_map(|c| c.lines().map(|(n, l)| (n, l.to_vec())))
-            .collect();
+        let all = numbered_lines(&split(&input, target));
         let mut want: Vec<(u64, Vec<u8>)> = input
             .split('\n')
             .enumerate()
@@ -109,5 +133,35 @@ proptest! {
             prop_assert_eq!(s.first_lineno, z.first_lineno);
             prop_assert_eq!(&s.bytes[..], z.bytes);
         }
+    }
+
+    /// Short reads (a trickling pipe) may cut chunks early, but the
+    /// chunks still cover the input exactly once on line boundaries and
+    /// yield the same lines with the same line numbers as a full-speed
+    /// read of the same bytes.
+    #[test]
+    fn short_reads_yield_the_same_lines(
+        lines in prop::collection::vec(arb_line(), 0..30),
+        target in 1usize..200,
+        sizes in prop::collection::vec(1usize..64, 1..8),
+        trailing_newline in prop::bool::ANY,
+    ) {
+        let mut input = lines.join("\n");
+        if trailing_newline && !input.is_empty() {
+            input.push('\n');
+        }
+        let reader = ShortReads { bytes: input.clone().into_bytes(), pos: 0, sizes, call: 0 };
+        let trickled: Vec<RawChunk> = ChunkReader::new(reader, target)
+            .collect::<std::io::Result<_>>()
+            .unwrap();
+        let rejoined: Vec<u8> = trickled.iter().flat_map(|c| c.bytes.clone()).collect();
+        prop_assert_eq!(rejoined, input.as_bytes().to_vec());
+        for (i, c) in trickled.iter().enumerate() {
+            prop_assert_eq!(c.seq, i as u64);
+        }
+        for c in &trickled[..trickled.len().saturating_sub(1)] {
+            prop_assert_eq!(c.bytes.last().copied(), Some(b'\n'));
+        }
+        prop_assert_eq!(numbered_lines(&trickled), numbered_lines(&split(&input, target)));
     }
 }

@@ -1,19 +1,9 @@
-//! Property tests of the NDJSON codec's routing invariant and the
-//! dispatched byte scanners (`ees_iotrace::scan`; run the suite under
-//! `EES_SCAN_ISA=swar` — as `ci.sh` does — to pin the portable
-//! fallback, and see `scan_prop.rs` for the per-ISA kernel sweep).
-//!
-//! The sharded ingest router may route a line by `quick_scan_ts_item`
-//! while a worker later parses it with `parse_event_borrowed`. The
-//! byte-identity of sharded plans therefore rests on one invariant:
-//! whenever the scan returns `Some((ts, item))` **and** the full parse
-//! succeeds, the parsed record carries exactly that `ts` and `item` —
-//! on *any* input, including duplicate keys, escaped keys/values,
-//! string-typed numbers, unknown fields, and arbitrary whitespace.
+//! Property tests of the NDJSON codec and the dispatched byte scanners
+//! (`ees_iotrace::scan`; run the suite under `EES_SCAN_ISA=swar` — as
+//! `ci.sh` does — to pin the portable fallback, and see `scan_prop.rs`
+//! for the per-ISA kernel sweep).
 
-use ees_iotrace::ndjson::{
-    count_byte, find_byte, find_byte2, json_escape, parse_event_borrowed, quick_scan_ts_item,
-};
+use ees_iotrace::ndjson::{count_byte, find_byte, find_byte2, json_escape, parse_event_borrowed};
 use proptest::prelude::*;
 
 /// Character-at-a-time reference for [`json_escape`] — the pre-SIMD
@@ -32,30 +22,6 @@ fn naive_json_escape(s: &str) -> String {
         }
     }
     out
-}
-
-/// One rendered `"key":value` fragment. Keys cover the five known fields
-/// (often), unknown fields, and an escaped spelling of `ts` (which
-/// unescapes to the known key — the scan must decline, not mis-route).
-fn arb_field() -> impl Strategy<Value = (String, String)> {
-    let key = prop_oneof![
-        4 => Just("ts".to_string()),
-        4 => Just("item".to_string()),
-        2 => Just("offset".to_string()),
-        2 => Just("len".to_string()),
-        3 => Just("kind".to_string()),
-        1 => Just("extra".to_string()),
-        1 => Just("t\\u0073".to_string()),
-    ];
-    let val = prop_oneof![
-        6 => (0u64..1u64 << 40).prop_map(|n| n.to_string()),
-        2 => Just("\"Read\"".to_string()),
-        2 => Just("\"Write\"".to_string()),
-        1 => Just("\"Scan\"".to_string()),
-        1 => Just("\"12\"".to_string()),
-        1 => Just("\"x\\\"y\\\\z\"".to_string()),
-    ];
-    (key, val)
 }
 
 /// Renders fields as a flat object with seeded whitespace padding.
@@ -86,25 +52,8 @@ fn render(fields: &[(String, String)], pad: u8) -> String {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
-    /// The routing invariant: scan and parse can disagree only by the
-    /// scan *declining* (returning `None`) or the parse *failing* — never
-    /// by both succeeding with different `(ts, item)`.
-    #[test]
-    fn scan_and_parse_agree_on_routing(
-        fields in prop::collection::vec(arb_field(), 0..10),
-        pad in 0u8..8,
-    ) {
-        let line = render(&fields, pad);
-        let scan = quick_scan_ts_item(&line);
-        let parse = parse_event_borrowed(&line);
-        if let (Some((ts, item)), Ok(rec)) = (scan, &parse) {
-            prop_assert_eq!(ts, rec.ts.0, "scan/parse ts diverge on {}", line);
-            prop_assert_eq!(item, rec.item.0, "scan/parse item diverge on {}", line);
-        }
-    }
-
-    /// On well-formed complete lines the scan must not decline, and both
-    /// sides must take the first occurrence of each duplicated key.
+    /// On well-formed complete lines the parser takes the first
+    /// occurrence of each duplicated key.
     #[test]
     fn first_key_wins_on_complete_lines(
         ts in 0u64..1u64 << 40,
@@ -126,7 +75,6 @@ proptest! {
         let rec = parse_event_borrowed(&line).expect("complete line parses");
         prop_assert_eq!(rec.ts.0, ts);
         prop_assert_eq!(rec.item.0, item);
-        prop_assert_eq!(quick_scan_ts_item(&line), Some((ts, item)));
     }
 
     /// The SWAR scanners agree with their naive equivalents on arbitrary
@@ -197,7 +145,6 @@ proptest! {
             Ok(n) => {
                 let rec = parse_event_borrowed(&line).expect("in-range number parses");
                 prop_assert_eq!(rec.ts.0, n);
-                prop_assert_eq!(quick_scan_ts_item(&line), Some((n, 3)));
             }
             Err(_) => {
                 let err = parse_event_borrowed(&line).expect_err("overflow must error");
@@ -205,7 +152,6 @@ proptest! {
                     err.contains("number overflow in field \"ts\""),
                     "unexpected error: {}", err
                 );
-                prop_assert_eq!(quick_scan_ts_item(&line), None);
             }
         }
     }

@@ -20,7 +20,7 @@
 //!    divergence is a bug, not noise.
 //!
 //! A separate overflow leg pushes the faulty byte stream through the
-//! batched ingest queue under [`OverflowPolicy::DropNewest`] with a
+//! ingest front end's queue under [`OverflowPolicy::DropNewest`] with a
 //! consumer that never drains, pinning the exact accepted/dropped event
 //! accounting when a fault burst overflows mid-batch.
 
@@ -30,7 +30,7 @@ use crate::error::OnlineError;
 use crate::fault::{
     silence_injected_panics, FaultRng, FaultSpec, FaultyReader, PanicSchedule, Sanitizer,
 };
-use crate::ingest::{spawn_reader_batched, OverflowPolicy, RetryingReader};
+use crate::ingest::{spawn_reader_parallel, OverflowPolicy, RetryingReader};
 use crate::shard::{ShardOptions, ShardedController, SupervisionPolicy};
 use ees_core::ProposedConfig;
 use ees_iotrace::ndjson::parse_event_borrowed;
@@ -390,16 +390,16 @@ pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosReport, OnlineError> {
 
     // Overflow leg: the same faulty bytes against a consumer that never
     // drains, pinning exact per-event drop accounting under DropNewest.
-    // Stalls are excluded (a WouldBlock would abort this bare reader) —
-    // the main leg already covers them.
+    // Stalls and unparsable lines are excluded (the queue accounting,
+    // not recovery, is under test) — the main leg covers them.
     let mut overflow_spec = cfg.spec;
     overflow_spec.stall_per_mille = 0;
     overflow_spec.malformed_per_mille = 0;
     overflow_spec.truncated_per_mille = 0;
     let (overflow_faulty, _) =
         FaultyReader::new(Cursor::new(ndjson), cfg.seed ^ 0x0F10_0D5D, overflow_spec);
-    let (rx, counters, handle) =
-        spawn_reader_batched(overflow_faulty, 2, 64, OverflowPolicy::DropNewest);
+    let (rx, _pool, counters, handle) =
+        spawn_reader_parallel(overflow_faulty, 2, 64, OverflowPolicy::DropNewest, 1, 0);
     // Hold the receiver without draining until the producer is done, so
     // the accepted count is exactly the queue capacity in batches.
     let stats = handle

@@ -1,12 +1,13 @@
 //! The parallel ingest front end: format-sniffing split of the byte
-//! stream, a pool of parser threads, and an in-order re-sequencer.
+//! stream, a pool of parser threads, and an in-order re-sequencer. It is
+//! the only threaded NDJSON/binary ingest path; one parser thread is its
+//! degenerate case.
 //!
-//! The single-reader front ends (the serial monitor driver, and the
-//! sharded driver's raw-line path) parse every event on one thread, so
-//! adding classification shards starves their rings behind one parser
-//! (the `BENCH_online.json` seed run measured 1.17× serial at 4 shards).
-//! This module splits the work the only way that keeps plans
-//! byte-identical to the serial controller:
+//! A front end that parses every event on one thread starves the
+//! classification shards behind one parser (the `BENCH_online.json`
+//! seed run measured 1.17× serial at 4 shards). This module splits the
+//! work the only way that keeps plans byte-identical to the serial
+//! controller:
 //!
 //! * a **splitter** thread sniffs the input format once
 //!   ([`sniff_format`]) and cuts the stream into independent work items:
@@ -30,7 +31,7 @@
 //! Sequencing is the consumer's whole job: the coordinator that folds
 //! records decides period cuts on the re-sequenced stream, which is what
 //! makes the plan sequence — and the reported error position —
-//! byte-identical to the single-reader front end by construction. Errors
+//! byte-identical to a serial reader by construction. Errors
 //! are carried *in-band* at their position in the stream: a parse error
 //! in chunk 7 surfaces only after every record of chunks 0..=7 that
 //! precedes it has been delivered, exactly as a serial reader would
@@ -42,7 +43,7 @@
 //! mapping, so parser threads decode out of the page cache without a
 //! single copy. Unframed binary streams have no parallel cut points;
 //! the splitter decodes them serially and feeds the sequencer directly,
-//! preserving the exact record semantics at single-reader speed.
+//! preserving the exact record semantics at serial-decode speed.
 //!
 //! During a rollover the coordinator must not fold records, but the
 //! parsers should not go idle either: [`ParallelScanner::stage_one`]
@@ -50,7 +51,6 @@
 //! stages completed chunks into the reorder buffer, bounded by a record
 //! cap, so the cut overlaps with parsing instead of stalling it.
 
-use crate::ingest::RetryingReader;
 use ees_iotrace::chunk::{ChunkReader, ChunkRef, RawChunk, SliceChunker, DEFAULT_CHUNK_BYTES};
 use ees_iotrace::ndjson::parse_event_borrowed;
 use ees_iotrace::wire::{
@@ -128,8 +128,8 @@ pub enum ChunkError {
 }
 
 impl ChunkError {
-    /// Renders the error exactly as the single-reader front end would
-    /// have surfaced it.
+    /// Renders the error exactly as a serial reader would have surfaced
+    /// it.
     pub fn to_io_error(&self) -> std::io::Error {
         match self {
             ChunkError::Parse { lineno, msg } => std::io::Error::new(
@@ -570,8 +570,9 @@ fn framing_error(block: u64, msg: impl std::fmt::Display) -> ChunkError {
 }
 
 /// Reads up to `n` bytes, short only at end of input, retrying
-/// `Interrupted` transparently.
-fn read_up_to<R: Read>(input: &mut R, n: usize) -> std::io::Result<Vec<u8>> {
+/// `Interrupted` transparently — however few bytes each read returns, so
+/// a format sniff over a trickling pipe sees the whole prefix.
+pub fn read_up_to<R: Read>(input: &mut R, n: usize) -> std::io::Result<Vec<u8>> {
     let mut buf = vec![0u8; n];
     let mut got = 0;
     while got < n {
@@ -845,21 +846,6 @@ fn decode_unframed<R: Read>(input: R, out: &SyncSender<FrontendMsg>) -> u64 {
             }
         }
     }
-}
-
-/// [`ParallelScanner::spawn`] with the transient-error absorption the
-/// daemon ingest path uses ([`RetryingReader`]): `WouldBlock`/`TimedOut`
-/// reads retry with bounded backoff before the stream is declared dead.
-pub fn spawn_retrying<'scope, 'env, R>(
-    scope: &'scope Scope<'scope, 'env>,
-    input: R,
-    readers: usize,
-    chunk_bytes: usize,
-) -> ParallelScanner<'scope>
-where
-    R: std::io::BufRead + Send + 'env,
-{
-    ParallelScanner::spawn(scope, RetryingReader::new(input), readers, chunk_bytes)
 }
 
 #[cfg(test)]

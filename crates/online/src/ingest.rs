@@ -1,27 +1,27 @@
-//! Bounded-channel event ingestion: an NDJSON reader thread feeding a
-//! consumer through an explicit backpressure policy.
+//! Bounded-channel event ingestion: the parallel ingest front end
+//! ([`ParallelScanner`]) feeding a consumer through an explicit
+//! backpressure policy.
 //!
-//! The producer parses events ([`ees_iotrace::ndjson::EventReader`], one
-//! reused line buffer, zero-copy field parsing) and pushes into a bounded
-//! queue. When the consumer (the daemon applying plans, or a migration
-//! stalling it) falls behind, the queue fills and the configured
+//! A splitter thread cuts the byte stream (NDJSON or `ees.event.v1`
+//! binary, sniffed from its first bytes) into independent chunks,
+//! `readers` parser threads parse them, and a sequencer thread restores
+//! stream order and pushes records in batches into a bounded queue.
+//! When the consumer (the daemon applying plans, or a migration stalling
+//! it) falls behind, the queue fills and the configured
 //! [`OverflowPolicy`] decides: **block** the producer (lossless, the
 //! default — correct when replaying a file) or **drop the newest** events
 //! (bounded memory and latency — what a live tap must do, since blocking
 //! the tapped application would defeat the point of *cooperating* with
-//! it). Drops are counted per *event*, never silent.
+//! it). Drops are counted per *event*, never silent. One reader is the
+//! degenerate case of the same front end.
 //!
-//! Two delivery shapes:
+//! Two input shapes, same queue, [`BatchPool`] recycling and accounting:
 //!
-//! * [`spawn_reader`] — one record per channel send. Simple, but the
-//!   per-event synchronization dominates at high event rates.
-//! * [`spawn_reader_batched`] — records delivered in small `Vec` batches,
-//!   amortizing the channel synchronization across the batch. This is
-//!   the throughput path `ees online` uses.
-//! * [`spawn_reader_batched_pooled`] — the batched shape plus a
-//!   [`BatchPool`]: the consumer hands drained batch buffers back and the
-//!   producer refills them instead of allocating a fresh `Vec` per batch,
-//!   so the steady-state hot path is allocation-free.
+//! * [`spawn_reader_parallel`] — any buffered byte stream (a pipe,
+//!   stdin, a file the platform cannot map); transient read errors are
+//!   absorbed by a [`RetryingReader`];
+//! * [`spawn_reader_parallel_mapped`] — an in-memory trace, typically an
+//!   mmap'd file, split zero-copy.
 //!
 //! Both expose **live** progress through a shared [`IngestCounters`]: the
 //! consumer (or a status thread) can read accepted/dropped totals while
@@ -29,7 +29,6 @@
 //! after the stream ends.
 
 use crate::frontend::ParallelScanner;
-use ees_iotrace::ndjson::EventReader;
 use ees_iotrace::LogicalIoRecord;
 use std::io::{BufRead, Read};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -37,13 +36,6 @@ use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender, TrySe
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
-
-/// How many events the serial reader accumulates locally before flushing
-/// the deltas into the shared [`IngestCounters`] atomics. The counters
-/// are a coarse progress feed, not a synchronization point, so trading
-/// per-event RMW traffic for block-granularity visibility is free —
-/// totals stay exact because every exit path flushes the remainder.
-const COUNTER_FLUSH: u64 = 64;
 
 /// Transient-error retries before a read is declared failed.
 const RETRY_ATTEMPTS: u32 = 8;
@@ -170,7 +162,7 @@ impl IngestCounters {
     }
 
     /// Batch buffers refilled from the recycle pool instead of freshly
-    /// allocated (only the pooled reader bumps this). Timing-dependent:
+    /// allocated. Timing-dependent:
     /// how many returns arrive before the producer needs a buffer varies
     /// run to run, so this is diagnostics, not part of [`IngestStats`].
     pub fn recycled(&self) -> u64 {
@@ -179,7 +171,7 @@ impl IngestCounters {
 
     /// Chunks the parallel front end's sequencer has re-ordered so far —
     /// newline chunks for NDJSON, framed blocks for blocked binary,
-    /// serial batches for unframed binary. Zero on single-reader paths.
+    /// serial batches for unframed binary. Zero on socket ingest.
     pub fn chunks(&self) -> u64 {
         self.chunks.load(Ordering::Relaxed)
     }
@@ -203,119 +195,11 @@ impl IngestCounters {
     }
 }
 
-/// Spawns the reader thread: parses NDJSON events from `input` and feeds
-/// a queue of `capacity` records under `policy`. Returns the consumer
-/// end, the live counters, and the thread handle, whose result carries
-/// the final ingest counters (or the first I/O / parse error, with its
-/// line number).
-pub fn spawn_reader<R>(
-    input: R,
-    capacity: usize,
-    policy: OverflowPolicy,
-) -> (
-    Receiver<LogicalIoRecord>,
-    Arc<IngestCounters>,
-    JoinHandle<std::io::Result<IngestStats>>,
-)
-where
-    R: BufRead + Send + 'static,
-{
-    let (tx, rx) = sync_channel::<LogicalIoRecord>(capacity.max(1));
-    let counters = Arc::new(IngestCounters::default());
-    let live = Arc::clone(&counters);
-    // Settle the scan-kernel dispatch before the reader thread starts:
-    // the serial parser's field scans run on the same function-pointer
-    // table as the parallel front end (see `ees_iotrace::scan`).
-    let _ = ees_iotrace::scan::scanner();
-    let handle = std::thread::spawn(move || {
-        // Per-event atomics dominate this loop at high event rates, so
-        // the deltas accumulate locally and flush every [`COUNTER_FLUSH`]
-        // events — and on every exit path, keeping the final totals
-        // exact (accepted + dropped == parsed).
-        let mut accepted = 0u64;
-        let mut dropped = 0u64;
-        let flush = |accepted: &mut u64, dropped: &mut u64| {
-            if *accepted != 0 {
-                live.accepted.fetch_add(*accepted, Ordering::Relaxed);
-                *accepted = 0;
-            }
-            if *dropped != 0 {
-                live.dropped.fetch_add(*dropped, Ordering::Relaxed);
-                *dropped = 0;
-            }
-        };
-        for rec in EventReader::new(RetryingReader::new(input)) {
-            let rec = match rec {
-                Ok(rec) => rec,
-                Err(e) => {
-                    flush(&mut accepted, &mut dropped);
-                    return Err(e);
-                }
-            };
-            match policy {
-                OverflowPolicy::Block => {
-                    if tx.send(rec).is_err() {
-                        // Consumer hung up: the in-hand record is lost —
-                        // count it so accepted + dropped == parsed.
-                        dropped += 1;
-                        break;
-                    }
-                    accepted += 1;
-                }
-                OverflowPolicy::DropNewest => match tx.try_send(rec) {
-                    Ok(()) => {
-                        accepted += 1;
-                    }
-                    Err(TrySendError::Full(_)) => {
-                        dropped += 1;
-                    }
-                    Err(TrySendError::Disconnected(_)) => {
-                        dropped += 1;
-                        break;
-                    }
-                },
-            }
-            if accepted + dropped >= COUNTER_FLUSH {
-                flush(&mut accepted, &mut dropped);
-            }
-        }
-        flush(&mut accepted, &mut dropped);
-        Ok(live.snapshot())
-    });
-    (rx, counters, handle)
-}
-
-/// Like [`spawn_reader`], but delivers records in batches of up to
-/// `batch` — one channel synchronization per batch instead of per event.
-/// `capacity` counts *batches* in flight, so the queue bounds memory at
-/// `capacity × batch` records. Under [`OverflowPolicy::DropNewest`] a
-/// rejected batch counts `batch.len()` dropped **events** (not one
-/// dropped batch); a partial batch at end of stream is flushed.
-pub fn spawn_reader_batched<R>(
-    input: R,
-    capacity: usize,
-    batch: usize,
-    policy: OverflowPolicy,
-) -> (
-    Receiver<Vec<LogicalIoRecord>>,
-    Arc<IngestCounters>,
-    JoinHandle<std::io::Result<IngestStats>>,
-)
-where
-    R: BufRead + Send + 'static,
-{
-    // Dropping the pool handle closes the recycle channel, so the
-    // producer allocates a fresh buffer per batch — the pre-pool
-    // behavior, byte for byte.
-    let (rx, _pool, counters, handle) = spawn_reader_batched_pooled(input, capacity, batch, policy);
-    (rx, counters, handle)
-}
-
 /// Consumer-side handle for returning drained batch buffers to the
-/// producer spawned by [`spawn_reader_batched_pooled`]. Recycling is
-/// strictly an optimization: dropping the handle (or never calling
-/// [`recycle`](Self::recycle)) just means the producer allocates fresh
-/// buffers, exactly like [`spawn_reader_batched`].
+/// producer spawned by [`spawn_reader_parallel`] (or its mapped and
+/// socket siblings). Recycling is strictly an optimization: dropping the
+/// handle (or never calling [`recycle`](Self::recycle)) just means the
+/// producer allocates a fresh buffer per batch.
 #[derive(Debug, Clone)]
 pub struct BatchPool {
     returns: Sender<Vec<LogicalIoRecord>>,
@@ -337,8 +221,8 @@ impl BatchPool {
     }
 }
 
-/// What [`spawn_reader_batched_pooled`] hands back: the batch stream,
-/// the recycle pool, the live counters, and the reader-thread handle.
+/// What [`spawn_reader_parallel`] hands back: the batch stream, the
+/// recycle pool, the live counters, and the reader-thread handle.
 pub type PooledReader = (
     Receiver<Vec<LogicalIoRecord>>,
     BatchPool,
@@ -346,114 +230,19 @@ pub type PooledReader = (
     JoinHandle<std::io::Result<IngestStats>>,
 );
 
-/// Like [`spawn_reader_batched`], but with a buffer pool: every batch the
-/// consumer drains can be handed back through the returned [`BatchPool`],
-/// and the producer refills recycled buffers instead of allocating one
-/// `Vec` per batch. A `DropNewest` rejection also reuses the rejected
-/// buffer in place. Counting semantics are identical to
-/// [`spawn_reader_batched`] (per-event, exact on every exit path).
-pub fn spawn_reader_batched_pooled<R>(
-    input: R,
-    capacity: usize,
-    batch: usize,
-    policy: OverflowPolicy,
-) -> PooledReader
-where
-    R: BufRead + Send + 'static,
-{
-    let batch = batch.max(1);
-    let (tx, rx) = sync_channel::<Vec<LogicalIoRecord>>(capacity.max(1));
-    let (return_tx, return_rx) = channel::<Vec<LogicalIoRecord>>();
-    let counters = Arc::new(IngestCounters::default());
-    let live = Arc::clone(&counters);
-    let handle = std::thread::spawn(move || {
-        let mut buf: Vec<LogicalIoRecord> = Vec::with_capacity(batch);
-        let mut disconnected = false;
-        let next_buf = || match return_rx.try_recv() {
-            Ok(mut recycled) => {
-                live.recycled.fetch_add(1, Ordering::Relaxed);
-                recycled.clear();
-                recycled
-            }
-            Err(_) => Vec::with_capacity(batch),
-        };
-        // Every parsed event ends up in exactly one counter: accepted on
-        // delivery, dropped on queue overflow, on consumer hang-up (the
-        // in-flight batch), or on a parse/read error (the partial batch
-        // that never flushed). A fault burst that overflows mid-batch
-        // therefore reports the exact event count, not a batch count.
-        let flush = |buf: &mut Vec<LogicalIoRecord>, disconnected: &mut bool| {
-            if buf.is_empty() {
-                return;
-            }
-            let n = buf.len() as u64;
-            if *disconnected {
-                buf.clear();
-                live.dropped.fetch_add(n, Ordering::Relaxed);
-                return;
-            }
-            let full = std::mem::take(buf);
-            match policy {
-                OverflowPolicy::Block => {
-                    if tx.send(full).is_err() {
-                        *disconnected = true;
-                        live.dropped.fetch_add(n, Ordering::Relaxed);
-                    } else {
-                        live.accepted.fetch_add(n, Ordering::Relaxed);
-                    }
-                }
-                OverflowPolicy::DropNewest => match tx.try_send(full) {
-                    Ok(()) => {
-                        live.accepted.fetch_add(n, Ordering::Relaxed);
-                    }
-                    Err(TrySendError::Full(rejected)) => {
-                        // The rejected buffer comes straight back —
-                        // reuse it as the next batch.
-                        live.dropped.fetch_add(n, Ordering::Relaxed);
-                        *buf = rejected;
-                        buf.clear();
-                    }
-                    Err(TrySendError::Disconnected(_)) => {
-                        *disconnected = true;
-                        live.dropped.fetch_add(n, Ordering::Relaxed);
-                    }
-                },
-            }
-            if buf.capacity() == 0 {
-                *buf = next_buf();
-            }
-        };
-        for rec in EventReader::new(RetryingReader::new(input)) {
-            let rec = match rec {
-                Ok(rec) => rec,
-                Err(e) => {
-                    // The partial batch dies with the stream — count it.
-                    live.dropped.fetch_add(buf.len() as u64, Ordering::Relaxed);
-                    return Err(e);
-                }
-            };
-            buf.push(rec);
-            if buf.len() >= batch {
-                flush(&mut buf, &mut disconnected);
-            }
-            if disconnected {
-                break;
-            }
-        }
-        flush(&mut buf, &mut disconnected);
-        Ok(live.snapshot())
-    });
-    (rx, BatchPool { returns: return_tx }, counters, handle)
-}
-
-/// The parallel-front-end flavor of [`spawn_reader_batched_pooled`]:
-/// same queue, pool, policy, and per-event accounting, but parsing runs
-/// on `readers` threads ([`ParallelScanner`]) instead of one, and the
-/// spawned thread shrinks to re-sequencing chunks and batching records.
-/// Delivery order, error text (`line N: …`), and the
-/// accepted/dropped invariant are identical to the single-reader shape —
-/// every record the sequencer pulls from the scanner ends up in exactly
-/// one counter. `chunk_bytes == 0` selects the default chunk target.
+/// Spawns the ingest front end over `input`: `readers` parser threads
+/// (at least one, [`ParallelScanner`]) and a sequencer thread that
+/// delivers records in stream order, in batches of up to `batch`, into a
+/// queue of `capacity` **batches** under `policy` — so the queue bounds
+/// memory at `capacity × batch` records. Every record the sequencer
+/// pulls from the scanner ends up in exactly one counter: accepted on
+/// delivery; dropped on overflow (a rejected batch counts its events,
+/// not one batch), on consumer hang-up (the in-flight batch and the
+/// rest of its chunk), or on a stream error (the partial batch that
+/// never flushed). A partial batch at end of stream is flushed. The
+/// join handle carries the final counters or the first error, with the
+/// serial reader's text (`line N: …`). `chunk_bytes == 0` selects the
+/// default chunk target.
 pub fn spawn_reader_parallel<R>(
     input: R,
     capacity: usize,
@@ -517,8 +306,7 @@ where
 
 /// The sequencer half shared by the parallel reader spawns: walks the
 /// re-sequenced chunk stream, batches records, and keeps the exact
-/// `accepted + dropped == parsed` accounting of the single-reader
-/// pooled path.
+/// `accepted + dropped == sequenced` accounting.
 fn sequence_batches(
     scanner: &mut ParallelScanner<'_>,
     tx: &SyncSender<Vec<LogicalIoRecord>>,
@@ -537,9 +325,8 @@ fn sequence_batches(
         }
         Err(_) => Vec::with_capacity(batch),
     };
-    // Identical to the single-reader pooled flush: accepted on
-    // delivery; dropped on overflow, hang-up, or a stream error
-    // that strands the partial batch.
+    // Accepted on delivery; dropped on overflow, hang-up, or a stream
+    // error that strands the partial batch.
     let flush = |buf: &mut Vec<LogicalIoRecord>, disconnected: &mut bool| {
         if buf.is_empty() {
             return;
@@ -565,6 +352,8 @@ fn sequence_batches(
                     live.accepted.fetch_add(n, Ordering::Relaxed);
                 }
                 Err(TrySendError::Full(rejected)) => {
+                    // The rejected buffer comes straight back — reuse
+                    // it as the next batch.
                     live.dropped.fetch_add(n, Ordering::Relaxed);
                     *buf = rejected;
                     buf.clear();
@@ -608,8 +397,7 @@ fn sequence_batches(
             break;
         }
         if let Some(err) = chunk.error {
-            // The partial batch dies with the stream — count it,
-            // exactly like the single-reader error path.
+            // The partial batch dies with the stream — count it.
             live.dropped.fetch_add(buf.len() as u64, Ordering::Relaxed);
             return Err(err.to_io_error());
         }
@@ -621,129 +409,249 @@ fn sequence_batches(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ees_iotrace::ndjson::EventReader;
     use std::io::Cursor;
+    use std::sync::mpsc::RecvTimeoutError;
 
     fn line(ts: u64) -> String {
         format!("{{\"ts\":{ts},\"item\":1,\"offset\":0,\"len\":4096,\"kind\":\"Read\"}}\n")
     }
 
+    /// Spawns the front end over an in-memory copy of `input`.
+    fn spawn(
+        input: &str,
+        capacity: usize,
+        batch: usize,
+        policy: OverflowPolicy,
+        readers: usize,
+        chunk_bytes: usize,
+    ) -> PooledReader {
+        spawn_reader_parallel(
+            Cursor::new(input.to_string()),
+            capacity,
+            batch,
+            policy,
+            readers,
+            chunk_bytes,
+        )
+    }
+
     #[test]
-    fn blocking_ingest_delivers_everything_in_order() {
-        let input: String = (0..100).map(|i| line(i * 1000)).collect();
-        let (rx, counters, handle) = spawn_reader(Cursor::new(input), 4, OverflowPolicy::Block);
-        let got: Vec<LogicalIoRecord> = rx.iter().collect();
-        assert_eq!(got.len(), 100);
-        assert!(got.windows(2).all(|w| w[0].ts <= w[1].ts));
-        let stats = handle.join().unwrap().unwrap();
-        assert_eq!(
-            stats,
-            IngestStats {
-                accepted: 100,
-                dropped: 0
+    fn parallel_reader_matches_serial_on_unterminated_crlf_input() {
+        // CRLF endings, comments, blank lines, and no trailing newline —
+        // the chunk-boundary edge cases. Every reader count must deliver
+        // the records an inline `EventReader` parses, with exact
+        // counters: the unterminated final line parsed exactly once,
+        // never dropped or doubled.
+        let mut input = String::from("# header\r\n");
+        for i in 0..97 {
+            input.push_str(line(i * 1000).trim_end());
+            input.push_str(if i % 3 == 0 { "\r\n" } else { "\n" });
+            if i % 10 == 0 {
+                input.push_str("\r\n");
             }
-        );
-        assert_eq!(counters.snapshot(), stats, "live counters match finals");
-    }
-
-    #[test]
-    fn drop_newest_bounds_the_queue_and_counts_drops() {
-        // Consumer never reads until the producer finishes: with a
-        // 4-slot queue at most 4 events can be accepted.
-        let input: String = (0..100).map(|i| line(i * 1000)).collect();
-        let (rx, counters, handle) =
-            spawn_reader(Cursor::new(input), 4, OverflowPolicy::DropNewest);
-        let stats = handle.join().unwrap().unwrap();
-        assert_eq!(stats.accepted, 4);
-        assert_eq!(stats.dropped, 96);
-        assert_eq!(rx.iter().count(), 4);
-        assert_eq!(counters.accepted(), 4);
-        assert_eq!(counters.dropped(), 96);
-    }
-
-    #[test]
-    fn parse_errors_reach_the_join_handle() {
-        let input = "{\"ts\":1,\"item\":1,\"offset\":0,\"len\":4096,\"kind\":\"Read\"}\nnot json\n";
-        let (rx, _counters, handle) =
-            spawn_reader(Cursor::new(input.to_string()), 4, OverflowPolicy::Block);
-        assert_eq!(rx.iter().count(), 1, "the valid first line is delivered");
-        let err = handle.join().unwrap().unwrap_err();
-        assert!(err.to_string().contains("line 2"), "{err}");
-    }
-
-    #[test]
-    fn batched_blocking_ingest_delivers_everything_in_order() {
-        let input: String = (0..100).map(|i| line(i * 1000)).collect();
-        let (rx, counters, handle) =
-            spawn_reader_batched(Cursor::new(input), 2, 8, OverflowPolicy::Block);
-        let got: Vec<LogicalIoRecord> = rx.iter().flatten().collect();
-        assert_eq!(got.len(), 100);
-        assert!(got.windows(2).all(|w| w[0].ts <= w[1].ts));
-        let stats = handle.join().unwrap().unwrap();
-        assert_eq!(
-            stats,
-            IngestStats {
-                accepted: 100,
-                dropped: 0
+        }
+        input.push_str(line(97_000).trim_end()); // no trailing newline
+        let serial: Vec<LogicalIoRecord> = EventReader::new(Cursor::new(input.clone()))
+            .collect::<std::io::Result<_>>()
+            .unwrap();
+        for (readers, chunk) in [(1, 0), (1, 48), (2, 48), (4, 17)] {
+            let (rx, pool, counters, handle) =
+                spawn(&input, 64, 8, OverflowPolicy::Block, readers, chunk);
+            let mut got = Vec::new();
+            for mut batch in rx.iter() {
+                got.append(&mut batch);
+                pool.recycle(batch);
             }
-        );
-        assert_eq!(counters.snapshot(), stats);
+            let stats = handle.join().unwrap().unwrap();
+            assert_eq!(got, serial, "readers={readers} chunk={chunk}");
+            assert_eq!(
+                stats,
+                IngestStats {
+                    accepted: 98,
+                    dropped: 0
+                },
+                "unterminated last line counted once"
+            );
+            assert_eq!(counters.snapshot(), stats, "live counters match finals");
+        }
     }
 
     #[test]
-    fn batched_drop_newest_counts_dropped_events_not_batches() {
+    fn parallel_reader_reports_the_serial_error_line() {
+        // The error line number must be absolute and identical to the
+        // serial reader's, no matter how chunks split around it. The 37
+        // good records fill four batches of 8; the partial fifth batch
+        // dies with the stream and is counted dropped, not lost.
+        let mut input: String = (0..37).map(|i| line(i * 1000)).collect();
+        input.push_str("not json\n");
+        input.push_str(&line(38_000));
+        for (readers, chunk) in [(1, 0), (1, 16), (2, 16), (4, 64), (4, 1)] {
+            let (rx, _pool, counters, handle) =
+                spawn(&input, 64, 8, OverflowPolicy::Block, readers, chunk);
+            let delivered = rx.iter().map(|b| b.len() as u64).sum::<u64>();
+            let err = handle.join().unwrap().unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+            assert!(
+                err.to_string().starts_with("line 38: "),
+                "readers={readers} chunk={chunk}: {err}"
+            );
+            assert_eq!(delivered, counters.accepted());
+            assert_eq!(counters.accepted(), 32, "readers={readers} chunk={chunk}");
+            assert_eq!(counters.dropped(), 5, "partial batch counted dropped");
+        }
+    }
+
+    #[test]
+    fn parallel_drop_newest_keeps_exact_event_accounting() {
         // Regression pin: 100 events in batches of 8 against a 4-batch
         // queue the consumer never drains. The first 4 batches (32
         // events) are accepted; the remaining 8 full batches and the
         // final partial batch of 4 are dropped — 68 *events*, which a
-        // per-batch count would have reported as 9.
+        // per-batch count would have reported as 9. Rejected batches
+        // reuse the returned buffer, which must not perturb the count.
+        // The sequencer is the only thread touching the queue, so the
+        // split is deterministic at any reader count.
         let input: String = (0..100).map(|i| line(i * 1000)).collect();
-        let (rx, counters, handle) =
-            spawn_reader_batched(Cursor::new(input), 4, 8, OverflowPolicy::DropNewest);
-        let stats = handle.join().unwrap().unwrap();
-        assert_eq!(stats.accepted, 32);
-        assert_eq!(stats.dropped, 68);
-        assert_eq!(stats.accepted + stats.dropped, 100, "every event counted");
-        assert_eq!(rx.iter().map(|b| b.len() as u64).sum::<u64>(), 32);
-        assert_eq!(counters.dropped(), 68);
+        for (readers, chunk) in [(1, 0), (1, 32), (4, 32)] {
+            let (rx, pool, counters, handle) =
+                spawn(&input, 4, 8, OverflowPolicy::DropNewest, readers, chunk);
+            let stats = handle.join().unwrap().unwrap();
+            assert_eq!(stats.accepted, 32, "readers={readers}");
+            assert_eq!(stats.dropped, 68, "readers={readers}");
+            let mut delivered = 0;
+            for batch in rx.iter() {
+                delivered += batch.len();
+                pool.recycle(batch);
+            }
+            assert_eq!(delivered, 32);
+            assert_eq!(counters.accepted() + counters.dropped(), 100);
+        }
     }
 
     #[test]
-    fn batched_consumer_hangup_counts_inflight_events_dropped() {
+    fn parallel_consumer_hangup_counts_inflight_events_dropped() {
         // Capacity 1 and a consumer that never drains: the first batch
         // fills the queue slot, the second blocks in `send`. Dropping the
         // receiver fails that blocked send — the in-flight batch must be
-        // counted dropped, not lost. The producer then stops parsing, so
-        // the tail of the stream is never counted: the invariant is
-        // accepted + dropped == *parsed*, not == input length.
+        // counted dropped, not lost. One-line chunks (`chunk_bytes` 1)
+        // mean the sequencer has pulled exactly the 16 records of the
+        // two batches, so the invariant accepted + dropped == sequenced
+        // pins both counts.
         let input: String = (0..20).map(|i| line(i * 1000)).collect();
-        let (rx, counters, handle) =
-            spawn_reader_batched(Cursor::new(input), 1, 8, OverflowPolicy::Block);
-        // Wait for batch 1 to be accepted so batch 2 is the one that
-        // hits the hang-up; otherwise the outcome races with `drop`.
-        while counters.accepted() < 8 {
-            std::thread::yield_now();
+        for readers in [1, 4] {
+            let (rx, _pool, counters, handle) =
+                spawn(&input, 1, 8, OverflowPolicy::Block, readers, 1);
+            // Wait for batch 1 to be accepted so batch 2 is the one that
+            // hits the hang-up; otherwise the outcome races with `drop`.
+            while counters.accepted() < 8 {
+                std::thread::yield_now();
+            }
+            drop(rx);
+            let stats = handle.join().unwrap().unwrap();
+            assert_eq!(stats.accepted, 8, "readers={readers}");
+            assert_eq!(stats.dropped, 8, "in-flight batch counted, not lost");
         }
-        drop(rx);
-        let stats = handle.join().unwrap().unwrap();
-        assert_eq!(stats.accepted, 8);
-        assert_eq!(stats.dropped, 8, "in-flight batch counted, not lost");
-        assert_eq!(counters.accepted() + counters.dropped(), 16);
     }
 
     #[test]
-    fn batched_parse_error_counts_partial_batch_dropped() {
-        // Five good events, then a malformed line, with batch = 8: the
-        // five buffered records never flush. They must be counted
-        // dropped, not silently discarded.
-        let mut input: String = (0..5).map(|i| line(i * 1000)).collect();
-        input.push_str("not json\n");
-        let (rx, counters, handle) =
-            spawn_reader_batched(Cursor::new(input), 4, 8, OverflowPolicy::Block);
-        assert_eq!(rx.iter().count(), 0);
-        let err = handle.join().unwrap().unwrap_err();
-        assert!(err.to_string().contains("line 6"), "{err}");
-        assert_eq!(counters.accepted(), 0);
-        assert_eq!(counters.dropped(), 5);
+    fn parallel_reader_recycles_buffers() {
+        // Lock-step consumption: drain one batch, hand the buffer back,
+        // repeat. After the first round trip the sequencer should be
+        // refilling recycled buffers, and delivery must stay lossless
+        // and ordered.
+        let input: String = (0..400).map(|i| line(i * 1000)).collect();
+        for (readers, chunk) in [(1, 256), (2, 256), (4, 256)] {
+            let (rx, pool, counters, handle) =
+                spawn(&input, 2, 8, OverflowPolicy::Block, readers, chunk);
+            let mut got = Vec::new();
+            for mut batch in rx.iter() {
+                got.append(&mut batch);
+                pool.recycle(batch);
+            }
+            assert_eq!(got.len(), 400);
+            assert!(got.windows(2).all(|w| w[0].ts <= w[1].ts));
+            let stats = handle.join().unwrap().unwrap();
+            assert_eq!(
+                stats,
+                IngestStats {
+                    accepted: 400,
+                    dropped: 0
+                }
+            );
+            assert!(
+                counters.recycled() > 0,
+                "lock-step consumer must feed the pool (readers={readers})"
+            );
+        }
+    }
+
+    /// A live tap: bytes arrive over a channel, and a read blocks until
+    /// the next write — or returns end of input once the writer hangs up.
+    struct ChannelReader {
+        rx: Receiver<Vec<u8>>,
+        pending: Vec<u8>,
+        pos: usize,
+    }
+
+    impl Read for ChannelReader {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            if self.pos == self.pending.len() {
+                match self.rx.recv() {
+                    Ok(bytes) => {
+                        self.pending = bytes;
+                        self.pos = 0;
+                    }
+                    Err(_) => return Ok(0),
+                }
+            }
+            let n = buf.len().min(self.pending.len() - self.pos);
+            buf[..n].copy_from_slice(&self.pending[self.pos..self.pos + n]);
+            self.pos += n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn live_pipe_batches_arrive_before_the_writer_finishes() {
+        // 64 lines, then the writer goes quiet. A tap must see them as
+        // one batch right away, not after the stream (or a full chunk
+        // target) arrives; the timeout turns a stuck front end into a
+        // failure instead of a hung test.
+        let lines: String = (0..64).map(|i| line(i * 1000)).collect();
+        for readers in [1, 4] {
+            let (tx, rx) = channel::<Vec<u8>>();
+            tx.send(lines.clone().into_bytes()).unwrap();
+            let tap = ChannelReader {
+                rx,
+                pending: Vec::new(),
+                pos: 0,
+            };
+            let (batches, _pool, _counters, handle) = spawn_reader_parallel(
+                std::io::BufReader::new(tap),
+                4,
+                64,
+                OverflowPolicy::Block,
+                readers,
+                0,
+            );
+            let first = batches.recv_timeout(Duration::from_secs(10));
+            // Hang up the writer either way so the reader thread ends.
+            drop(tx);
+            let first = match first {
+                Ok(batch) => batch,
+                Err(RecvTimeoutError::Timeout) => {
+                    panic!("readers={readers}: no batch while the writer was idle")
+                }
+                Err(RecvTimeoutError::Disconnected) => {
+                    panic!("readers={readers}: front end ended early")
+                }
+            };
+            assert_eq!(first.len(), 64, "readers={readers}");
+            assert_eq!(first[63].ts.0, 63_000);
+            assert_eq!(batches.iter().count(), 0, "nothing after the first batch");
+            assert_eq!(handle.join().unwrap().unwrap().accepted, 64);
+        }
     }
 
     /// A reader that surfaces `WouldBlock` before every buffer refill —
@@ -786,14 +694,21 @@ mod tests {
     #[test]
     fn retrying_reader_absorbs_transient_stalls() {
         let input: String = (0..50).map(|i| line(i * 1000)).collect();
-        let stalling = StallingReader {
-            inner: Cursor::new(input),
-            stall_next: true,
-        };
-        let (rx, _counters, handle) = spawn_reader(stalling, 16, OverflowPolicy::Block);
-        assert_eq!(rx.iter().count(), 50, "stalls must not lose events");
-        let stats = handle.join().unwrap().unwrap();
-        assert_eq!(stats.accepted, 50);
+        for readers in [1, 4] {
+            let stalling = StallingReader {
+                inner: Cursor::new(input.clone()),
+                stall_next: true,
+            };
+            let (rx, _pool, _counters, handle) =
+                spawn_reader_parallel(stalling, 16, 8, OverflowPolicy::Block, readers, 0);
+            assert_eq!(
+                rx.iter().flatten().count(),
+                50,
+                "stalls must not lose events"
+            );
+            let stats = handle.join().unwrap().unwrap();
+            assert_eq!(stats.accepted, 50);
+        }
     }
 
     /// A reader that never becomes ready.
@@ -825,190 +740,5 @@ mod tests {
         let err = r.fill_buf().unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::WouldBlock);
         assert_eq!(r.retries(), RETRY_ATTEMPTS as u64, "budget is bounded");
-    }
-
-    #[test]
-    fn pooled_reader_recycles_buffers_without_losing_events() {
-        // Lock-step consumption: drain one batch, hand the buffer back,
-        // repeat. After the first round trip the producer should be
-        // refilling recycled buffers, and delivery must stay lossless
-        // and ordered.
-        let input: String = (0..400).map(|i| line(i * 1000)).collect();
-        let (rx, pool, counters, handle) =
-            spawn_reader_batched_pooled(Cursor::new(input), 2, 8, OverflowPolicy::Block);
-        let mut got = Vec::new();
-        for mut batch in rx.iter() {
-            got.append(&mut batch);
-            pool.recycle(batch);
-        }
-        assert_eq!(got.len(), 400);
-        assert!(got.windows(2).all(|w| w[0].ts <= w[1].ts));
-        let stats = handle.join().unwrap().unwrap();
-        assert_eq!(
-            stats,
-            IngestStats {
-                accepted: 400,
-                dropped: 0
-            }
-        );
-        assert!(
-            counters.recycled() > 0,
-            "lock-step consumer must feed the pool: {}",
-            counters.recycled()
-        );
-    }
-
-    #[test]
-    fn pooled_drop_newest_keeps_exact_event_accounting() {
-        // Regression pin for the buffer pool: rejected batches reuse the
-        // returned buffer, which must not perturb the per-event
-        // accounting — same 32-accepted / 68-dropped split as the
-        // unpooled batched_drop_newest_counts_dropped_events_not_batches.
-        let input: String = (0..100).map(|i| line(i * 1000)).collect();
-        let (rx, pool, counters, handle) =
-            spawn_reader_batched_pooled(Cursor::new(input), 4, 8, OverflowPolicy::DropNewest);
-        let stats = handle.join().unwrap().unwrap();
-        assert_eq!(stats.accepted, 32);
-        assert_eq!(stats.dropped, 68);
-        for batch in rx.iter() {
-            pool.recycle(batch);
-        }
-        assert_eq!(counters.accepted() + counters.dropped(), 100);
-    }
-
-    #[test]
-    fn serial_counter_coalescing_flushes_exact_totals() {
-        // 70 events: one full 64-event counter block plus a 6-event
-        // remainder that only the exit-path flush publishes. The final
-        // totals must be exact despite block-granularity updates.
-        let input: String = (0..70).map(|i| line(i * 1000)).collect();
-        let (rx, counters, handle) = spawn_reader(Cursor::new(input), 128, OverflowPolicy::Block);
-        assert_eq!(rx.iter().count(), 70);
-        let stats = handle.join().unwrap().unwrap();
-        assert_eq!(
-            stats,
-            IngestStats {
-                accepted: 70,
-                dropped: 0
-            }
-        );
-        assert_eq!(counters.snapshot(), stats);
-    }
-
-    #[test]
-    fn batched_parse_errors_reach_the_join_handle() {
-        let input = "{\"ts\":1,\"item\":1,\"offset\":0,\"len\":4096,\"kind\":\"Read\"}\nnot json\n";
-        let (rx, _counters, handle) =
-            spawn_reader_batched(Cursor::new(input.to_string()), 4, 8, OverflowPolicy::Block);
-        // The erroring reader drops the partial batch before line 2's
-        // record was flushed; nothing is delivered.
-        assert_eq!(rx.iter().count(), 0);
-        let err = handle.join().unwrap().unwrap_err();
-        assert!(err.to_string().contains("line 2"), "{err}");
-    }
-
-    #[test]
-    fn parallel_reader_matches_serial_on_unterminated_crlf_input() {
-        // CRLF endings, comments, blank lines, and no trailing newline —
-        // the chunk-boundary edge cases. Both readers must deliver the
-        // same records and the same exact counters: the unterminated
-        // final line parsed exactly once, never dropped or doubled.
-        let mut input = String::from("# header\r\n");
-        for i in 0..97 {
-            input.push_str(line(i * 1000).trim_end());
-            input.push_str(if i % 3 == 0 { "\r\n" } else { "\n" });
-            if i % 10 == 0 {
-                input.push_str("\r\n");
-            }
-        }
-        input.push_str(line(97_000).trim_end()); // no trailing newline
-        let (serial_rx, _, serial_counters, serial_handle) =
-            spawn_reader_batched_pooled(Cursor::new(input.clone()), 64, 8, OverflowPolicy::Block);
-        let serial: Vec<LogicalIoRecord> = serial_rx.iter().flatten().collect();
-        serial_handle.join().unwrap().unwrap();
-        for (readers, chunk) in [(1, 0), (2, 48), (4, 17)] {
-            let (rx, pool, counters, handle) = spawn_reader_parallel(
-                Cursor::new(input.clone()),
-                64,
-                8,
-                OverflowPolicy::Block,
-                readers,
-                chunk,
-            );
-            let mut got = Vec::new();
-            for mut batch in rx.iter() {
-                got.append(&mut batch);
-                pool.recycle(batch);
-            }
-            let stats = handle.join().unwrap().unwrap();
-            assert_eq!(got, serial, "readers={readers} chunk={chunk}");
-            assert_eq!(stats.accepted, 98, "unterminated last line counted once");
-            assert_eq!(stats.dropped, 0);
-            assert_eq!(counters.snapshot(), serial_counters.snapshot());
-        }
-    }
-
-    #[test]
-    fn parallel_reader_reports_the_serial_error_line() {
-        // The error line number must be absolute and identical to the
-        // serial reader's, no matter how chunks split around it.
-        let mut input: String = (0..37).map(|i| line(i * 1000)).collect();
-        input.push_str("not json\n");
-        input.push_str(&line(38_000));
-        for (readers, chunk) in [(2, 16), (4, 64), (4, 1)] {
-            let (rx, _pool, counters, handle) = spawn_reader_parallel(
-                Cursor::new(input.clone()),
-                64,
-                8,
-                OverflowPolicy::Block,
-                readers,
-                chunk,
-            );
-            let delivered = rx.iter().map(|b| b.len() as u64).sum::<u64>();
-            let err = handle.join().unwrap().unwrap_err();
-            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-            assert!(
-                err.to_string().starts_with("line 38: "),
-                "readers={readers} chunk={chunk}: {err}"
-            );
-            // The 37 good records split between delivered batches and
-            // the stranded partial batch — every one counted.
-            assert_eq!(delivered, counters.accepted());
-            assert_eq!(counters.accepted() + counters.dropped(), 37);
-        }
-    }
-
-    #[test]
-    fn parallel_drop_newest_keeps_exact_event_accounting() {
-        // Same shape as pooled_drop_newest_keeps_exact_event_accounting:
-        // the sequencer is the only thread touching the queue, so the
-        // accepted/dropped split stays deterministic with parsing fanned
-        // out across 4 readers.
-        let input: String = (0..100).map(|i| line(i * 1000)).collect();
-        let (rx, pool, counters, handle) =
-            spawn_reader_parallel(Cursor::new(input), 4, 8, OverflowPolicy::DropNewest, 4, 32);
-        let stats = handle.join().unwrap().unwrap();
-        assert_eq!(stats.accepted, 32);
-        assert_eq!(stats.dropped, 68);
-        for batch in rx.iter() {
-            pool.recycle(batch);
-        }
-        assert_eq!(counters.accepted() + counters.dropped(), 100);
-    }
-
-    #[test]
-    fn parallel_reader_recycles_buffers() {
-        let input: String = (0..400).map(|i| line(i * 1000)).collect();
-        let (rx, pool, counters, handle) =
-            spawn_reader_parallel(Cursor::new(input), 2, 8, OverflowPolicy::Block, 2, 256);
-        let mut got = Vec::new();
-        for mut batch in rx.iter() {
-            got.append(&mut batch);
-            pool.recycle(batch);
-        }
-        assert_eq!(got.len(), 400);
-        assert!(got.windows(2).all(|w| w[0].ts <= w[1].ts));
-        handle.join().unwrap().unwrap();
-        assert!(counters.recycled() > 0, "pool must see round trips");
     }
 }

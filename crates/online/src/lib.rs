@@ -21,8 +21,8 @@
 //!   [`ees_replay::StreamHarness`] (the same plan-execution and serve
 //!   path the batch engine uses), so an online run is plan-for-plan
 //!   identical to `ees_replay::run` on the same input;
-//! * [`ingest`] — the NDJSON event front-end: a bounded-channel reader
-//!   thread with an explicit backpressure policy
+//! * [`ingest`] — the event front end: the parallel parser pool
+//!   feeding a bounded queue with an explicit backpressure policy
 //!   ([`OverflowPolicy`]), surfaced on the command line as `ees online`.
 //!
 //! For throughput, the classification fold shards across worker threads:
@@ -41,8 +41,8 @@
 //! coordinator walks records in exact file order — plans stay
 //! byte-identical to the serial driver by construction. One reader per
 //! shard is the default (`ShardOptions::readers`, `ees online
-//! --readers N`; `--readers 1` selects the legacy single-reader
-//! driver).
+//! --readers N`; `--readers 1` runs one parser thread). Every threaded
+//! NDJSON and binary ingest path goes through this one front end.
 //!
 //! For production hardening the crate adds three failure-domain layers
 //! (DESIGN.md §11):
@@ -90,18 +90,17 @@ pub use fault::{
     Sanitizer,
 };
 pub use frontend::{
-    parse_block, parse_chunk, parse_lines, ChunkError, NameResolver, ParallelScanner, ParsedChunk,
-    ScanSource, CUT_PARK,
+    parse_block, parse_chunk, parse_lines, read_up_to, ChunkError, NameResolver, ParallelScanner,
+    ParsedChunk, ScanSource, CUT_PARK,
 };
 pub use ingest::{
-    spawn_reader, spawn_reader_batched, spawn_reader_batched_pooled, spawn_reader_parallel,
-    spawn_reader_parallel_mapped, BatchPool, IngestCounters, IngestStats, OverflowPolicy,
-    PooledReader, RetryingReader,
+    spawn_reader_parallel, spawn_reader_parallel_mapped, BatchPool, IngestCounters, IngestStats,
+    OverflowPolicy, PooledReader, RetryingReader,
 };
 pub use net::{spawn_net_ingest, ConnSnapshot, NetCounters, NetListener, NetOptions, NetReader};
 pub use pipeline::{
     run_monitor_serial, run_monitor_sharded, run_monitor_sharded_slice, run_monitor_sharded_with,
-    MonitorOutcome, STAGE_MAX,
+    MonitorOutcome,
 };
 pub use ring::{ring_channel, RingReceiver, RingRecvError, RingSendError, RingSender};
 pub use shard::{shard_of, ShardOptions, ShardedController, SupervisionPolicy, SHARD_QUEUE};

@@ -285,7 +285,7 @@ pub type NetReader = (
 
 /// Spawns the accept loop, one socket thread per connection, and the
 /// merger. Consume the receiver exactly like the file front end's
-/// ([`crate::ingest::spawn_reader_batched_pooled`] shape), then join the
+/// ([`crate::ingest::spawn_reader_parallel`] shape), then join the
 /// handle for the final stats or first error.
 pub fn spawn_net_ingest(
     listener: NetListener,

@@ -5,52 +5,46 @@
 //!
 //! Two drivers over identical plan semantics:
 //!
-//! * [`run_monitor_serial`] — the legacy ingest shape: a reader thread
-//!   parsing one event per channel send
-//!   ([`spawn_reader`](crate::spawn_reader)), folded by the
+//! * [`run_monitor_serial`] — the reference: parses the stream inline on
+//!   the calling thread ([`EventReader`]) and folds it through the
 //!   single-threaded [`OnlineController`].
-//! * [`run_monitor_sharded`] — the sharded shape, in two flavors keyed
-//!   on [`ShardOptions::readers`]:
-//!   - **parallel front end** (the default, `readers == 0` → one per
-//!     shard): a splitter cuts the input into newline-aligned chunks and
-//!     a pool of parser threads runs the full NDJSON parse off the
-//!     coordinator ([`ParallelScanner`], DESIGN.md §13); the coordinator
-//!     shrinks to re-sequencing chunks and walking records in file order
-//!     — rollover sequencing, [`observe`](ShardedController::observe)
-//!     routing into the shard rings, and the §V.D trigger sweep.
-//!   - **legacy single reader** (`readers == 1`): the coordinator reads
-//!     lines itself, extracts `(ts, item)` with the minimal
-//!     [`quick_scan_ts_item`] scan, and routes the **raw line** to the
-//!     owning shard, whose workers parse ([`parse_event_borrowed`],
-//!     zero-copy) and fold.
+//! * [`run_monitor_sharded`] — the sharded shape: a splitter cuts the
+//!   input into newline-aligned chunks (or framed binary blocks) and
+//!   [`ShardOptions::readers`] parser threads run the full parse off the
+//!   coordinator ([`ParallelScanner`], DESIGN.md §13); the coordinator
+//!   shrinks to re-sequencing chunks and walking records in file order —
+//!   rollover sequencing, [`observe`](ShardedController::observe)
+//!   routing into the shard rings, and the §V.D trigger sweep. One
+//!   reader is the degenerate case of the same front end.
 //!
-//! All flavors return the same plans on the same input (property-tested
-//! by the `sharded` suite); the throughput smoke in `ci.sh` times one
+//! Both return the same plans on the same input (property-tested by
+//! the `sharded` suite); the throughput smoke in `ci.sh` times one
 //! against the other to produce `BENCH_online.json`.
 //!
-//! Both sharded flavors overlap rollover with ingest (DESIGN.md §12):
-//! at a period cut they call
-//! [`rollover_begin`](ShardedController::rollover_begin) and keep
-//! making ingest progress — the legacy driver stages scanned lines up to
-//! [`STAGE_MAX`]; the parallel driver parks on the parser channel with a
-//! timeout ([`ParallelScanner::stage_one`]) and stages completed chunks
-//! in its reorder buffer — while the workers drain their queues and
-//! snapshot in parallel; they then collect the merge in
+//! The sharded driver overlaps rollover with ingest (DESIGN.md §12): at
+//! a period cut it calls
+//! [`rollover_begin`](ShardedController::rollover_begin), parks on the
+//! parser channel with a timeout ([`ParallelScanner::stage_one`]) and
+//! stages completed chunks — up to `STAGE_MAX` records — in its
+//! reorder buffer while the workers drain their queues and snapshot in
+//! parallel, then collects the merge in
 //! [`rollover_finish`](ShardedController::rollover_finish). Staged
 //! records are *not* routed or trigger-swept until the plan lands,
 //! because routing feeds the next cut and the §V.D sweep depends on the
 //! plan's placement and re-armed triggers — staging is what keeps the
 //! plan sequence byte-identical to the serial controller.
+//!
+//! [`EventReader`]: ees_iotrace::ndjson::EventReader
 
 use crate::controller::RolloverReason;
 use crate::frontend::{ParallelScanner, ScanSource, CUT_PARK};
-use crate::ingest::{spawn_reader, OverflowPolicy};
+use crate::ingest::RetryingReader;
 use crate::shard::{ShardOptions, ShardedController};
 use crate::{OnlineController, PlanEnvelope};
 use ees_core::ProposedConfig;
-use ees_iotrace::ndjson::{parse_event_borrowed, quick_scan_ts_item};
+use ees_iotrace::ndjson::EventReader;
 use ees_iotrace::parallel::threads;
-use ees_iotrace::{DataItemId, Micros};
+use ees_iotrace::Micros;
 use ees_replay::{CatalogItem, StreamHarness};
 use ees_simstorage::StorageConfig;
 use std::io::BufRead;
@@ -68,8 +62,8 @@ pub struct MonitorOutcome {
     /// the sharded driver it is the time the driver thread was *blocked*
     /// on the cut — `rollover_begin` (flush + cut broadcast) plus
     /// `rollover_finish` (reply wait + merge + plan) — explicitly
-    /// excluding the read-ahead staging loop in between, which is
-    /// forward progress, not stall.
+    /// excluding the read-ahead park loop in between, which is forward
+    /// progress, not stall.
     pub rollover_micros: Vec<u64>,
 }
 
@@ -87,34 +81,28 @@ impl MonitorOutcome {
     }
 }
 
-fn invalid_data(msg: String) -> std::io::Error {
-    std::io::Error::new(std::io::ErrorKind::InvalidData, msg)
-}
-
-/// Runs the monitor over `input` with the legacy single-threaded ingest
-/// path: per-event channel delivery into an [`OnlineController`].
-/// `queue` is the reader channel capacity in records; `break_even`
-/// defaults to the storage model's own break-even time.
-pub fn run_monitor_serial<R>(
+/// Runs the monitor over `input` serially: every line is parsed inline
+/// on the calling thread and folded into an [`OnlineController`] — the
+/// reference the sharded driver is tested against. Transient read
+/// errors are absorbed by a [`RetryingReader`]; a malformed line fails
+/// the run with a `line N:` error. `break_even` defaults to the storage
+/// model's own break-even time.
+pub fn run_monitor_serial<R: BufRead>(
     input: R,
     items: &[CatalogItem],
     num_enclosures: u16,
     storage: &StorageConfig,
     policy: ProposedConfig,
     break_even: Option<Micros>,
-    queue: usize,
-) -> std::io::Result<MonitorOutcome>
-where
-    R: BufRead + Send + 'static,
-{
+) -> std::io::Result<MonitorOutcome> {
     let mut harness = StreamHarness::new(items, num_enclosures, storage);
     let break_even = break_even.unwrap_or_else(|| harness.break_even());
     let mut controller = OnlineController::new(policy, break_even);
-    let (rx, _counters, handle) = spawn_reader(input, queue.max(1), OverflowPolicy::Block);
     let mut events = 0u64;
     let mut plans = Vec::new();
     let mut rollover_micros = Vec::new();
-    for rec in rx {
+    for rec in EventReader::new(RetryingReader::new(input)) {
+        let rec = rec?;
         while controller.needs_rollover(rec.ts) {
             let t_end = controller.boundary();
             let started = Instant::now();
@@ -156,14 +144,6 @@ where
             }
         }
     }
-    match handle.join() {
-        Ok(stats) => {
-            stats?;
-        }
-        // A reader-thread panic is a harness bug, but it must not take
-        // the coordinator down with an opaque double panic.
-        Err(_) => return Err(invalid_data("reader thread panicked".to_string())),
-    }
     Ok(MonitorOutcome {
         events,
         plans,
@@ -171,207 +151,20 @@ where
     })
 }
 
-/// How many records the sharded driver stages while a cut is in flight
-/// before it stops reading ahead and blocks on the merge — bounds the
-/// driver's memory at one period's read-ahead, independent of how long
-/// the merge takes.
-pub const STAGE_MAX: usize = 4096;
-
-/// A read-ahead record held by the driver while a cut is in flight: the
-/// raw line plus the `(ts, item)` the scan already extracted, so settling
-/// never re-parses.
-struct StagedRecord {
-    line: String,
-    lineno: u64,
-    ts: Micros,
-    item: DataItemId,
-}
-
-/// A shard discovers a parse error asynchronously; keep the earliest
-/// line number so the surfaced error matches the serial reader's.
-fn fail(controller: &mut ShardedController, lineno: u64, msg: String) -> std::io::Error {
-    // Best effort: a supervision failure during the error path must
-    // not mask the parse error being reported.
-    let _ = controller.sync();
-    let mut best = (lineno, msg);
-    if let Some((l, m)) = controller.take_ingest_error() {
-        if l < best.0 {
-            best = (l, m);
-        }
-    }
-    invalid_data(format!("line {}: {}", best.0, best.1))
-}
-
-/// Runs one staged record through the full per-record flow: any further
-/// rollovers it crosses (synchronous — the read-ahead for those already
-/// happened), routing, and the §V.D trigger sweep. Identical to the
-/// serial driver's per-record path, which is what keeps settling staged
-/// read-ahead byte-equivalent to never having staged at all.
-#[allow(clippy::too_many_arguments)]
-fn settle_record(
-    controller: &mut ShardedController,
-    harness: &mut StreamHarness,
-    plans: &mut Vec<PlanEnvelope>,
-    rollover_micros: &mut Vec<u64>,
-    events: &mut u64,
-    trimmed: &str,
-    lineno: u64,
-    ts: Micros,
-    item: DataItemId,
-) -> std::io::Result<()> {
-    while controller.needs_rollover(ts) {
-        let t_end = controller.boundary();
-        let started = Instant::now();
-        harness.refresh_views();
-        let env = controller.rollover(
-            t_end,
-            RolloverReason::Boundary,
-            harness.placement(),
-            harness.sequential(),
-            harness.views(),
-        )?;
-        if let Some((l, m)) = controller.take_ingest_error() {
-            return Err(invalid_data(format!("line {l}: {m}")));
-        }
-        harness.apply_plan(t_end, &env.plan);
-        harness.begin_period();
-        rollover_micros.push(started.elapsed().as_micros() as u64);
-        plans.push(env);
-    }
-    controller.route_raw_line(trimmed, lineno, item);
-    *events += 1;
-    // Same §V.D trigger (i) sweep as the serial driver; the rollover
-    // barrier flushes the just-routed line, so the cut covers it.
-    let enclosure = harness.placement().enclosure_of(item);
-    if let Some(enclosure) = enclosure {
-        if controller.observe_io_event(ts, enclosure) && ts > controller.period_start() {
-            let started = Instant::now();
-            harness.refresh_views();
-            let env = controller.rollover(
-                ts,
-                RolloverReason::Trigger,
-                harness.placement(),
-                harness.sequential(),
-                harness.views(),
-            )?;
-            if let Some((l, m)) = controller.take_ingest_error() {
-                return Err(invalid_data(format!("line {l}: {m}")));
-            }
-            harness.apply_plan(ts, &env.plan);
-            harness.begin_period();
-            rollover_micros.push(started.elapsed().as_micros() as u64);
-            plans.push(env);
-        }
-    }
-    Ok(())
-}
-
-/// Cuts the period at `t_end` overlapped with ingest: `rollover_begin`,
-/// read ahead into `staged` until the workers' snapshots are in (or
-/// [`STAGE_MAX`] / EOF / a driver-side parse error stops staging),
-/// `rollover_finish`, apply the plan, then settle the staged records in
-/// order through [`settle_record`]. Pushes the recorded **stall**
-/// (begin plus finish wall time, staging excluded) onto
-/// `rollover_micros`.
-/// Returns whether EOF was reached while staging.
-#[allow(clippy::too_many_arguments)]
-fn overlapped_cut<R: BufRead>(
-    input: &mut R,
-    controller: &mut ShardedController,
-    harness: &mut StreamHarness,
-    plans: &mut Vec<PlanEnvelope>,
-    rollover_micros: &mut Vec<u64>,
-    events: &mut u64,
-    line: &mut String,
-    lineno: &mut u64,
-    line_pool: &mut Vec<String>,
-    staged: &mut Vec<StagedRecord>,
-    t_end: Micros,
-    reason: RolloverReason,
-) -> std::io::Result<bool> {
-    let started = Instant::now();
-    harness.refresh_views();
-    controller.rollover_begin(
-        t_end,
-        reason,
-        harness.placement(),
-        harness.sequential(),
-        harness.views(),
-    )?;
-    let begin_stall = started.elapsed();
-    // Read ahead while the cut is in flight. A driver-side parse error
-    // stops staging but is reported only after the cut lands and the
-    // staged prefix settles — any worker-side error on an earlier line
-    // must win, exactly as it would have serially.
-    let mut stage_err: Option<(u64, String)> = None;
-    let mut eof = false;
-    while !controller.rollover_ready() && staged.len() < STAGE_MAX {
-        line.clear();
-        if input.read_line(line)? == 0 {
-            eof = true;
-            break;
-        }
-        *lineno += 1;
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') {
-            continue;
-        }
-        let scanned = match quick_scan_ts_item(trimmed) {
-            Some((ts, item)) => Some((Micros(ts), DataItemId(item))),
-            None => match parse_event_borrowed(trimmed) {
-                Ok(rec) => Some((rec.ts, rec.item)),
-                Err(e) => {
-                    stage_err = Some((*lineno, e));
-                    None
-                }
-            },
-        };
-        let Some((ts, item)) = scanned else { break };
-        let mut slot = line_pool.pop().unwrap_or_default();
-        slot.clear();
-        slot.push_str(trimmed);
-        staged.push(StagedRecord {
-            line: slot,
-            lineno: *lineno,
-            ts,
-            item,
-        });
-    }
-    let finishing = Instant::now();
-    let env = controller.rollover_finish()?;
-    if let Some((l, m)) = controller.take_ingest_error() {
-        return Err(invalid_data(format!("line {l}: {m}")));
-    }
-    harness.apply_plan(t_end, &env.plan);
-    harness.begin_period();
-    rollover_micros.push((begin_stall + finishing.elapsed()).as_micros() as u64);
-    plans.push(env);
-    for rec in staged.drain(..) {
-        settle_record(
-            controller,
-            harness,
-            plans,
-            rollover_micros,
-            events,
-            &rec.line,
-            rec.lineno,
-            rec.ts,
-            rec.item,
-        )?;
-        line_pool.push(rec.line);
-    }
-    if let Some((l, m)) = stage_err {
-        return Err(fail(controller, l, m));
-    }
-    Ok(eof)
-}
+/// How many records the sharded driver stages in the reorder buffer
+/// while a cut is in flight before it stops reading ahead and waits on
+/// the merge — bounds the driver's memory at one period's read-ahead,
+/// independent of how long the merge takes.
+const STAGE_MAX: usize = 4096;
 
 /// Runs the monitor over `input` with the sharded pipeline: `shards`
 /// workers (`0` → [`threads()`], the `EES_THREADS` convention) fold in
 /// parallel, fed by the parallel ingest front end (one parser thread per
-/// shard by default — see [`ShardOptions::readers`]). Emits the same
-/// plan sequence as [`run_monitor_serial`] on the same input, including
-/// the same `line N:` error on the same malformed line.
+/// shard by default — see [`ShardOptions::readers`]). NDJSON and
+/// `ees.event.v1` binary input are both accepted; the format is sniffed
+/// from the stream. Emits the same plan sequence as
+/// [`run_monitor_serial`] on the same input, including the same
+/// `line N:` error on the same malformed line.
 pub fn run_monitor_sharded<R>(
     input: R,
     items: &[CatalogItem],
@@ -413,37 +206,16 @@ where
     R: BufRead + Send,
 {
     let shards = if shards == 0 { threads() } else { shards };
-    // Peek one buffered byte to route binary streams: `ees.event.v1`
-    // starts with the magic's `E`, which no NDJSON trace line can (they
-    // open with `{`, `#`, or whitespace). Binary must take the parallel
-    // driver even at one reader — the legacy driver is line-oriented —
-    // and a text stream that happens to start with `E` is still parsed
-    // correctly there (the splitter re-sniffs with the full magic).
-    let mut input = input;
-    let binary = input.fill_buf()?.first() == Some(&ees_iotrace::wire::EVENT_MAGIC[0]);
-    if binary || options.resolved_readers(shards) > 1 {
-        run_monitor_sharded_parallel(
-            input,
-            items,
-            num_enclosures,
-            storage,
-            policy,
-            break_even,
-            shards,
-            options,
-        )
-    } else {
-        run_monitor_sharded_legacy(
-            input,
-            items,
-            num_enclosures,
-            storage,
-            policy,
-            break_even,
-            shards,
-            options,
-        )
-    }
+    run_monitor_parallel_source(
+        ScanSource::Reader(input),
+        items,
+        num_enclosures,
+        storage,
+        policy,
+        break_even,
+        shards,
+        options,
+    )
 }
 
 /// Cuts the period at `t_end` under the parallel front end: the workers
@@ -451,8 +223,7 @@ where
 /// channel ([`ParallelScanner::stage_one`], [`CUT_PARK`] at a time, never
 /// a spin), staging completed chunks — bounded by [`STAGE_MAX`] records —
 /// into the reorder buffer. The recorded stall is begin plus finish wall
-/// time; the park loop is read-ahead, not stall, matching the legacy
-/// driver's accounting.
+/// time; the park loop is read-ahead, not stall.
 fn parallel_cut(
     scanner: &mut ParallelScanner<'_>,
     controller: &mut ShardedController,
@@ -477,49 +248,11 @@ fn parallel_cut(
     }
     let finishing = Instant::now();
     let env = controller.rollover_finish()?;
-    if let Some((l, m)) = controller.take_ingest_error() {
-        return Err(invalid_data(format!("line {l}: {m}")));
-    }
     harness.apply_plan(t_end, &env.plan);
     harness.begin_period();
     rollover_micros.push((begin_stall + finishing.elapsed()).as_micros() as u64);
     plans.push(env);
     Ok(())
-}
-
-/// The parallel-front-end monitor driver (DESIGN.md §13): parsing fans
-/// out over [`ShardOptions::resolved_readers`] threads, and this —
-/// coordinator — thread walks the re-sequenced records in exact file
-/// order through the same per-record flow as the serial driver (boundary
-/// rollovers, [`observe`](ShardedController::observe) routing into the
-/// shard rings, §V.D trigger sweep). Record order is what the plan
-/// sequence depends on, so plans are byte-identical to
-/// [`run_monitor_serial`] by construction; errors surface in stream
-/// order with the serial error text.
-#[allow(clippy::too_many_arguments)]
-fn run_monitor_sharded_parallel<R>(
-    input: R,
-    items: &[CatalogItem],
-    num_enclosures: u16,
-    storage: &StorageConfig,
-    policy: ProposedConfig,
-    break_even: Option<Micros>,
-    shards: usize,
-    options: ShardOptions,
-) -> std::io::Result<MonitorOutcome>
-where
-    R: BufRead + Send,
-{
-    run_monitor_parallel_source(
-        ScanSource::Reader(input),
-        items,
-        num_enclosures,
-        storage,
-        policy,
-        break_even,
-        shards,
-        options,
-    )
 }
 
 /// The zero-copy flavor of the sharded monitor: drives the parallel
@@ -552,6 +285,15 @@ pub fn run_monitor_sharded_slice(
     )
 }
 
+/// The parallel-front-end monitor driver (DESIGN.md §13): parsing fans
+/// out over [`ShardOptions::resolved_readers`] threads, and this —
+/// coordinator — thread walks the re-sequenced records in exact file
+/// order through the same per-record flow as the serial driver (boundary
+/// rollovers, [`observe`](ShardedController::observe) routing into the
+/// shard rings, §V.D trigger sweep). Record order is what the plan
+/// sequence depends on, so plans are byte-identical to
+/// [`run_monitor_serial`] by construction; errors surface in stream
+/// order with the serial error text.
 #[allow(clippy::too_many_arguments)]
 fn run_monitor_parallel_source<R>(
     source: ScanSource<'_, R>,
@@ -614,18 +356,10 @@ where
             if let Some(err) = chunk.error {
                 // In-band stream error, positioned after the chunk's good
                 // records — the serial reader would abort exactly here.
-                return Err(match err {
-                    crate::frontend::ChunkError::Parse { lineno, msg } => {
-                        fail(&mut controller, lineno, msg)
-                    }
-                    other => other.to_io_error(),
-                });
+                return Err(err.to_io_error());
             }
         }
         controller.sync()?;
-        if let Some((l, m)) = controller.take_ingest_error() {
-            return Err(invalid_data(format!("line {l}: {m}")));
-        }
         Ok(MonitorOutcome {
             events,
             plans,
@@ -634,130 +368,10 @@ where
     })
 }
 
-/// The legacy single-reader sharded driver ([`ShardOptions::readers`]
-/// `== 1`): the coordinator reads and `(ts, item)`-scans every line
-/// itself and routes raw bytes to the shard workers, which parse and
-/// fold.
-#[allow(clippy::too_many_arguments)]
-fn run_monitor_sharded_legacy<R>(
-    input: R,
-    items: &[CatalogItem],
-    num_enclosures: u16,
-    storage: &StorageConfig,
-    policy: ProposedConfig,
-    break_even: Option<Micros>,
-    shards: usize,
-    options: ShardOptions,
-) -> std::io::Result<MonitorOutcome>
-where
-    R: BufRead,
-{
-    let mut input = input;
-    let mut harness = StreamHarness::new(items, num_enclosures, storage);
-    let break_even = break_even.unwrap_or_else(|| harness.break_even());
-    let shards = if shards == 0 { threads() } else { shards };
-    let mut controller = ShardedController::with_options(policy, break_even, shards, options);
-    let mut events = 0u64;
-    let mut plans = Vec::new();
-    let mut rollover_micros = Vec::new();
-    let mut line = String::new();
-    let mut lineno = 0u64;
-    let mut line_pool: Vec<String> = Vec::new();
-    let mut staged: Vec<StagedRecord> = Vec::new();
-    loop {
-        line.clear();
-        if input.read_line(&mut line)? == 0 {
-            break;
-        }
-        lineno += 1;
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') {
-            continue;
-        }
-        let (ts, item) = match quick_scan_ts_item(trimmed) {
-            Some((ts, item)) => (Micros(ts), DataItemId(item)),
-            // The fast scan declined: settle the line on the spot. A
-            // parse failure here aborts exactly like the serial reader.
-            None => match parse_event_borrowed(trimmed) {
-                Ok(rec) => (rec.ts, rec.item),
-                Err(e) => return Err(fail(&mut controller, lineno, e)),
-            },
-        };
-        if controller.needs_rollover(ts) {
-            // The boundary-crossing record is the first staged record —
-            // it must not be routed until the cut lands, and settling it
-            // replays any further boundaries it crosses.
-            let mut slot = line_pool.pop().unwrap_or_default();
-            slot.clear();
-            slot.push_str(trimmed);
-            staged.push(StagedRecord {
-                line: slot,
-                lineno,
-                ts,
-                item,
-            });
-            let t_end = controller.boundary();
-            let eof = overlapped_cut(
-                &mut input,
-                &mut controller,
-                &mut harness,
-                &mut plans,
-                &mut rollover_micros,
-                &mut events,
-                &mut line,
-                &mut lineno,
-                &mut line_pool,
-                &mut staged,
-                t_end,
-                RolloverReason::Boundary,
-            )?;
-            if eof {
-                break;
-            }
-            continue;
-        }
-        controller.route_raw_line(trimmed, lineno, item);
-        events += 1;
-        // Same §V.D trigger (i) sweep as the serial driver; the cut's
-        // shard flush covers the just-routed line.
-        let enclosure = harness.placement().enclosure_of(item);
-        if let Some(enclosure) = enclosure {
-            if controller.observe_io_event(ts, enclosure) && ts > controller.period_start() {
-                let eof = overlapped_cut(
-                    &mut input,
-                    &mut controller,
-                    &mut harness,
-                    &mut plans,
-                    &mut rollover_micros,
-                    &mut events,
-                    &mut line,
-                    &mut lineno,
-                    &mut line_pool,
-                    &mut staged,
-                    ts,
-                    RolloverReason::Trigger,
-                )?;
-                if eof {
-                    break;
-                }
-            }
-        }
-    }
-    controller.sync()?;
-    if let Some((l, m)) = controller.take_ingest_error() {
-        return Err(invalid_data(format!("line {l}: {m}")));
-    }
-    Ok(MonitorOutcome {
-        events,
-        plans,
-        rollover_micros,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ees_iotrace::EnclosureId;
+    use ees_iotrace::{DataItemId, EnclosureId};
     use ees_simstorage::Access;
     use std::io::Cursor;
 
@@ -797,7 +411,6 @@ mod tests {
             &storage,
             ProposedConfig::default(),
             None,
-            1024,
         )
         .unwrap();
         for shards in [1usize, 2, 3, 8] {
@@ -834,7 +447,6 @@ mod tests {
             &storage,
             ProposedConfig::default(),
             None,
-            64,
         )
         .unwrap_err();
         let sharded_err = run_monitor_sharded(

@@ -22,8 +22,7 @@
 //!    downstream plan is too.
 //!
 //! Planning, §V.D trigger arming, and period bookkeeping stay on the
-//! coordinator thread — only the per-record fold (and, on the raw-line
-//! path, NDJSON parsing) is fanned out.
+//! coordinator thread — only the per-record fold is fanned out.
 //!
 //! **Supervision** (DESIGN.md §11): a worker thread that panics no longer
 //! takes the whole pipeline down. The coordinator journals every batch it
@@ -65,7 +64,6 @@ use crate::ring::{ring_channel, RingReceiver, RingSendError, RingSender};
 use ees_core::{
     merge_shard_reports_into, snapshot_guard, ArmedTriggers, ItemReport, Planner, ProposedConfig,
 };
-use ees_iotrace::ndjson::parse_event_borrowed;
 use ees_iotrace::{DataItemId, EnclosureId, LogicalIoRecord, Micros, Span};
 use ees_policy::EnclosureView;
 use ees_simstorage::PlacementMap;
@@ -77,8 +75,6 @@ use std::time::Duration;
 
 /// Records buffered per shard before a batch is shipped.
 const RECORD_FLUSH: usize = 256;
-/// Raw-line bytes buffered per shard before a batch is shipped.
-const RAW_FLUSH_BYTES: usize = 16 * 1024;
 /// Default batches in flight per shard ring (bounds coordinator
 /// run-ahead); override with [`ShardOptions::queue`].
 pub const SHARD_QUEUE: usize = 8;
@@ -93,40 +89,10 @@ pub fn shard_of(item: DataItemId, n: usize) -> usize {
     (((item.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize) % n.max(1)
 }
 
-/// A batch of raw NDJSON lines shipped to a shard for parsing + folding.
-/// `Clone` because the coordinator journals every batch it ships, so a
-/// respawned worker can replay them.
-#[derive(Clone)]
-struct RawBatch {
-    /// Concatenated line text.
-    text: String,
-    /// `(byte offset, byte len, input line number)` per line in `text`.
-    lines: Vec<(u32, u32, u64)>,
-}
-
-impl RawBatch {
-    fn new() -> Self {
-        RawBatch {
-            text: String::new(),
-            lines: Vec::new(),
-        }
-    }
-}
-
-/// One journaled unit of shard input — exactly what was sent, in order.
-#[derive(Clone)]
-enum JournalEntry {
-    Records(Vec<LogicalIoRecord>),
-    Raw(RawBatch),
-}
-
 /// Work sent to a shard worker. Channel order is observation order.
 enum ShardMsg {
-    /// Pre-parsed records to fold (the daemon path, which needs every
-    /// record on the coordinator anyway to serve it).
+    /// Records to fold, in arrival order.
     Records(Vec<LogicalIoRecord>),
-    /// Raw lines to parse and fold (the monitor-pipeline path).
-    Raw(RawBatch),
     /// Replace the classifier state outright: period start plus per-item
     /// checkpoints. Sent to a freshly (re)spawned worker before its
     /// journal replay, and at checkpoint restore.
@@ -145,8 +111,8 @@ enum ShardMsg {
     /// Export the classifier's mid-period state without disturbing it
     /// (the checkpoint barrier).
     Snapshot { reply: SyncSender<ShardReply> },
-    /// Flush point: report any pending parse error without closing the
-    /// period (end of stream, or a coordinator-side error race).
+    /// Flush point: answer once every earlier message is folded, without
+    /// closing the period (end of stream).
     Ping { reply: SyncSender<ShardReply> },
 }
 
@@ -158,9 +124,6 @@ struct ShardReply {
     reports: Vec<ItemReport>,
     /// Mid-period item states (empty except for [`ShardMsg::Snapshot`]).
     states: Vec<ItemCheckpoint>,
-    /// First parse error this shard hit since the last barrier:
-    /// `(line number, message)`.
-    error: Option<(u64, String)>,
 }
 
 fn worker(
@@ -171,7 +134,6 @@ fn worker(
     panic_schedule: Option<Arc<PanicSchedule>>,
 ) {
     let mut classifier = IncrementalClassifier::new(Micros::ZERO, break_even);
-    let mut error: Option<(u64, String)> = None;
     // Records folded since this worker thread was spawned — the index the
     // injected-panic schedule keys on. A respawned worker restarts at 0
     // over the replayed journal; schedule points are one-shot, so replay
@@ -187,31 +149,10 @@ fn worker(
     for msg in rx {
         match msg {
             ShardMsg::Records(batch) => {
-                if error.is_none() {
-                    for rec in &batch {
-                        maybe_panic(fold_idx);
-                        fold_idx += 1;
-                        classifier.observe(rec);
-                    }
-                }
-            }
-            ShardMsg::Raw(batch) => {
-                if error.is_some() {
-                    continue;
-                }
-                for &(off, len, lineno) in &batch.lines {
-                    let line = &batch.text[off as usize..(off + len) as usize];
-                    match parse_event_borrowed(line) {
-                        Ok(rec) => {
-                            maybe_panic(fold_idx);
-                            fold_idx += 1;
-                            classifier.observe(&rec);
-                        }
-                        Err(e) => {
-                            error = Some((lineno, e));
-                            break;
-                        }
-                    }
+                for rec in &batch {
+                    maybe_panic(fold_idx);
+                    fold_idx += 1;
+                    classifier.observe(rec);
                 }
             }
             ShardMsg::Load {
@@ -236,7 +177,6 @@ fn worker(
                     shard,
                     reports,
                     states: Vec::new(),
-                    error: error.take(),
                 });
             }
             ShardMsg::Snapshot { reply } => {
@@ -244,10 +184,6 @@ fn worker(
                     shard,
                     reports: Vec::new(),
                     states: classifier.export_items(),
-                    // The parse-error slot is left in place: errors are
-                    // consumed at rollover/ping barriers only, so a
-                    // checkpoint never swallows one.
-                    error: None,
                 });
             }
             ShardMsg::Ping { reply } => {
@@ -255,18 +191,10 @@ fn worker(
                     shard,
                     reports: Vec::new(),
                     states: Vec::new(),
-                    error: error.take(),
                 });
             }
         }
     }
-}
-
-/// Per-shard coordinator-side buffers, flushed in arrival-order chunks so
-/// channel traffic is batched, not per-record.
-struct Pending {
-    records: Vec<LogicalIoRecord>,
-    raw: RawBatch,
 }
 
 /// What the supervisor does when a shard worker thread dies.
@@ -295,10 +223,9 @@ pub struct ShardOptions {
     /// Batches in flight per shard ring (rounded up to a power of two);
     /// bounds coordinator run-ahead. Defaults to [`SHARD_QUEUE`].
     pub queue: usize,
-    /// Parser threads for the ingest front end of the sharded monitor
-    /// driver: `0` (default) resolves to one reader per shard; `1`
-    /// selects the legacy single-reader driver (line-at-a-time
-    /// `quick_scan` + raw-line routing on the coordinator).
+    /// Parser threads for the parallel ingest front end of the sharded
+    /// monitor driver: `0` (default) resolves to one reader per shard;
+    /// `1` runs a single parser thread.
     pub readers: usize,
     /// Chunk target in bytes for the parallel front end's newline-aligned
     /// splitter; `0` (default) selects
@@ -340,11 +267,11 @@ struct ShardLedger {
     /// snapshot). `period_start` is carried by the controller.
     base: Vec<ItemCheckpoint>,
     /// Batches shipped since `base`, in shipping order.
-    journal: Vec<JournalEntry>,
+    journal: Vec<Vec<LogicalIoRecord>>,
     /// While a cut is in flight: the batches of the period being closed,
     /// moved out of `journal` at `rollover_begin`. A rebuild replays
     /// `base` → `closing` → (re-sent cut) → `journal`.
-    closing: Option<Vec<JournalEntry>>,
+    closing: Option<Vec<Vec<LogicalIoRecord>>>,
 }
 
 impl ShardLedger {
@@ -380,15 +307,9 @@ const MAX_REVIVE_ROUNDS: usize = 64;
 
 /// The sharded counterpart of [`OnlineController`](crate::OnlineController):
 /// same public surface, same plans (byte-identical reports at every
-/// rollover), but the per-record classification fold — and, when fed raw
-/// lines, the NDJSON parse — runs on a pool of shard worker threads.
-///
-/// Feed it either pre-parsed records ([`observe`](Self::observe)) or raw
-/// NDJSON lines ([`route_raw_line`](Self::route_raw_line)); don't mix the
-/// two within one period, since the per-shard buffers would not preserve
-/// the interleaving. Raw-line parse errors surface at the next barrier —
-/// poll [`take_ingest_error`](Self::take_ingest_error) after
-/// [`rollover`](Self::rollover) or [`sync`](Self::sync).
+/// rollover), but the per-record classification fold runs on a pool of
+/// shard worker threads, fed parsed records through
+/// [`observe`](Self::observe).
 pub struct ShardedController {
     planner: Planner,
     triggers: ArmedTriggers,
@@ -402,7 +323,9 @@ pub struct ShardedController {
     /// `None` marks a quarantined (or mid-revive) shard's empty slot.
     senders: Vec<Option<RingSender<ShardMsg>>>,
     handles: Vec<Option<JoinHandle<()>>>,
-    pending: Vec<Pending>,
+    /// Per-shard records not yet shipped, flushed in arrival-order
+    /// batches so channel traffic is batched, not per-record.
+    pending: Vec<Vec<LogicalIoRecord>>,
     /// Base state + shipped-batch journal per shard, for worker rebuild.
     ledgers: Vec<ShardLedger>,
     /// Quarantined shards, with the panic detail that condemned them.
@@ -413,8 +336,6 @@ pub struct ShardedController {
     respawns: u64,
     /// A supervision failure that must surface at the next barrier.
     fatal: Option<OnlineError>,
-    /// Earliest raw-line parse error reported by any shard.
-    ingest_error: Option<(u64, String)>,
     /// The in-flight cut between `rollover_begin` and `rollover_finish`.
     pending_cut: Option<PendingCut>,
     /// Reused merged-report buffer (one allocation across rollovers).
@@ -452,18 +373,12 @@ impl ShardedController {
             options,
             senders: (0..shards).map(|_| None).collect(),
             handles: (0..shards).map(|_| None).collect(),
-            pending: (0..shards)
-                .map(|_| Pending {
-                    records: Vec::new(),
-                    raw: RawBatch::new(),
-                })
-                .collect(),
+            pending: (0..shards).map(|_| Vec::new()).collect(),
             ledgers: (0..shards).map(|_| ShardLedger::new()).collect(),
             quarantined: (0..shards).map(|_| None).collect(),
             events: Vec::new(),
             respawns: 0,
             fatal: None,
-            ingest_error: None,
             pending_cut: None,
             merge_scratch: Vec::new(),
         };
@@ -618,12 +533,8 @@ impl ShardedController {
         };
         tx.send(load).map_err(|_| ())?;
         let closing = ledger.closing.iter().flatten();
-        for entry in closing.chain(ledger.journal.iter()).cloned() {
-            let msg = match entry {
-                JournalEntry::Records(b) => ShardMsg::Records(b),
-                JournalEntry::Raw(b) => ShardMsg::Raw(b),
-            };
-            tx.send(msg).map_err(|_| ())?;
+        for batch in closing.chain(ledger.journal.iter()).cloned() {
+            tx.send(ShardMsg::Records(batch)).map_err(|_| ())?;
         }
         Ok(())
     }
@@ -724,22 +635,12 @@ impl ShardedController {
     }
 
     fn flush_shard(&mut self, shard: usize) {
-        let p = &mut self.pending[shard];
-        if !p.records.is_empty() {
-            let batch = std::mem::take(&mut p.records);
+        if !self.pending[shard].is_empty() {
+            let batch = std::mem::take(&mut self.pending[shard]);
             // Journal before sending, so a send that fails because the
             // worker just died still replays this batch.
-            self.ledgers[shard]
-                .journal
-                .push(JournalEntry::Records(batch.clone()));
+            self.ledgers[shard].journal.push(batch.clone());
             self.send_journaled_or_park(shard, ShardMsg::Records(batch));
-        }
-        if !self.pending[shard].raw.lines.is_empty() {
-            let batch = std::mem::replace(&mut self.pending[shard].raw, RawBatch::new());
-            self.ledgers[shard]
-                .journal
-                .push(JournalEntry::Raw(batch.clone()));
-            self.send_journaled_or_park(shard, ShardMsg::Raw(batch));
         }
     }
 
@@ -751,29 +652,8 @@ impl ShardedController {
             "observe while a cut is in flight; stage records until rollover_finish"
         );
         let shard = shard_of(rec.item, self.shards);
-        self.pending[shard].records.push(*rec);
-        if self.pending[shard].records.len() >= RECORD_FLUSH {
-            self.flush_shard(shard);
-        }
-    }
-
-    /// Routes one raw NDJSON line to the shard owning `item` (which the
-    /// caller extracted with
-    /// [`quick_scan_ts_item`](ees_iotrace::ndjson::quick_scan_ts_item) or
-    /// a full parse); the worker parses and folds it. Parse errors
-    /// surface at the next barrier via
-    /// [`take_ingest_error`](Self::take_ingest_error).
-    pub fn route_raw_line(&mut self, line: &str, lineno: u64, item: DataItemId) {
-        debug_assert!(
-            self.pending_cut.is_none(),
-            "route_raw_line while a cut is in flight; stage lines until rollover_finish"
-        );
-        let shard = shard_of(item, self.shards);
-        let raw = &mut self.pending[shard].raw;
-        let off = raw.text.len() as u32;
-        raw.text.push_str(line);
-        raw.lines.push((off, line.len() as u32, lineno));
-        if raw.text.len() >= RAW_FLUSH_BYTES {
+        self.pending[shard].push(*rec);
+        if self.pending[shard].len() >= RECORD_FLUSH {
             self.flush_shard(shard);
         }
     }
@@ -787,22 +667,6 @@ impl ShardedController {
     /// Feeds a spin-up to the §V.D triggers; `true` as above.
     pub fn observe_spin_up(&mut self, t: Micros, enclosure: EnclosureId) -> bool {
         self.triggers.observe_spin_up(t, enclosure)
-    }
-
-    fn note_error(&mut self, error: Option<(u64, String)>) {
-        if let Some((lineno, msg)) = error {
-            match &self.ingest_error {
-                Some((best, _)) if *best <= lineno => {}
-                _ => self.ingest_error = Some((lineno, msg)),
-            }
-        }
-    }
-
-    /// The earliest raw-line parse error any shard has reported at a
-    /// barrier, as `(line number, message)`. Plans emitted at or after
-    /// the erroring barrier must be discarded by the caller.
-    pub fn take_ingest_error(&mut self) -> Option<(u64, String)> {
-        self.ingest_error.take()
     }
 
     /// Whether `shard`'s worker thread has exited (or was reaped).
@@ -887,8 +751,8 @@ impl ShardedController {
     }
 
     /// Flushes every shard and waits for all of them to drain, without
-    /// closing the period — the end-of-stream barrier that surfaces any
-    /// parse error still buffered in a worker. `Err` when a shard is
+    /// closing the period — the end-of-stream barrier that surfaces a
+    /// worker lost in the final period. `Err` when a shard is
     /// quarantined or revival failed.
     pub fn sync(&mut self) -> Result<(), OnlineError> {
         assert!(
@@ -898,10 +762,7 @@ impl ShardedController {
         for shard in 0..self.shards {
             self.flush_shard(shard);
         }
-        let replies = self.barrier(|reply| ShardMsg::Ping { reply })?;
-        for reply in replies {
-            self.note_error(reply.error);
-        }
+        self.barrier(|reply| ShardMsg::Ping { reply })?;
         Ok(())
     }
 
@@ -1017,9 +878,8 @@ impl ShardedController {
     /// [`rollover_ready`](Self::rollover_ready) to overlap useful work.
     ///
     /// Until `finish` returns, the controller must not be fed —
-    /// [`observe`](Self::observe) / [`route_raw_line`](Self::route_raw_line)
-    /// / [`sync`](Self::sync) / [`checkpoint`](Self::checkpoint) panic by
-    /// contract. The plan decides trigger re-arming, placement, and the
+    /// [`observe`](Self::observe) / [`sync`](Self::sync) /
+    /// [`checkpoint`](Self::checkpoint) panic by contract. The plan decides trigger re-arming, placement, and the
     /// next boundary, so records past the cut cannot be routed (a
     /// trigger may still cut between two of them); the caller stages
     /// them and drains after `finish`.
@@ -1146,7 +1006,6 @@ impl ShardedController {
         };
         let mut per_shard: Vec<Vec<ItemReport>> = (0..self.shards).map(|_| Vec::new()).collect();
         for reply in cut.replies.into_iter().flatten() {
-            self.note_error(reply.error);
             per_shard[reply.shard] = reply.reports;
         }
         let shards = self.shards;
@@ -1294,99 +1153,12 @@ mod tests {
                 }
                 sharded.observe(&r);
             }
-            assert!(sharded.take_ingest_error().is_none());
             assert_eq!(plans_single.len(), plans_sharded.len(), "shards = {shards}");
             for (a, b) in plans_single.iter().zip(&plans_sharded) {
                 assert_eq!(a.period, b.period, "shards = {shards}");
                 assert_eq!(a.plan, b.plan, "shards = {shards}");
             }
         }
-    }
-
-    #[test]
-    fn raw_lines_match_parsed_records() {
-        let placement = placement(8);
-        let v = views(&placement);
-        let break_even = Micros::from_secs(52);
-        let mut parsed = ShardedController::new(cfg(), break_even, 3);
-        let mut raw = ShardedController::new(cfg(), break_even, 3);
-        for i in 0..1500u64 {
-            let r = LogicalIoRecord {
-                ts: Micros(i * 1_000_000),
-                item: DataItemId((i % 8) as u32),
-                offset: 0,
-                len: 4096,
-                kind: IoKind::Write,
-            };
-            parsed.observe(&r);
-            let line = format!(
-                "{{\"ts\":{},\"item\":{},\"offset\":0,\"len\":4096,\"kind\":\"Write\"}}",
-                r.ts.0, r.item.0
-            );
-            raw.route_raw_line(&line, i + 1, r.item);
-        }
-        let end = Micros::from_secs(1500);
-        let a = parsed
-            .rollover(
-                end,
-                RolloverReason::Boundary,
-                &placement,
-                &NO_SEQUENTIAL,
-                &v,
-            )
-            .unwrap();
-        let b = raw
-            .rollover(
-                end,
-                RolloverReason::Boundary,
-                &placement,
-                &NO_SEQUENTIAL,
-                &v,
-            )
-            .unwrap();
-        assert!(raw.take_ingest_error().is_none());
-        assert_eq!(a.plan, b.plan);
-    }
-
-    #[test]
-    fn raw_parse_error_surfaces_at_barrier_with_line_number() {
-        let placement = placement(4);
-        let v = views(&placement);
-        let mut ctl = ShardedController::new(cfg(), Micros::from_secs(52), 2);
-        ctl.route_raw_line(
-            "{\"ts\":1,\"item\":0,\"offset\":0,\"len\":4096,\"kind\":\"Read\"}",
-            1,
-            DataItemId(0),
-        );
-        ctl.route_raw_line("{\"ts\":2,\"item\":1,broken", 7, DataItemId(1));
-        ctl.sync().unwrap();
-        let (lineno, msg) = ctl.take_ingest_error().expect("error must surface");
-        assert_eq!(lineno, 7);
-        assert!(!msg.is_empty());
-        // A later rollover still works (the erroring shard reports its
-        // owned items, parsed-or-not).
-        let env = ctl
-            .rollover(
-                Micros::from_secs(600),
-                RolloverReason::Boundary,
-                &placement,
-                &NO_SEQUENTIAL,
-                &v,
-            )
-            .unwrap();
-        assert_eq!(env.period.start, Micros::ZERO);
-    }
-
-    #[test]
-    fn earliest_error_wins_across_shards() {
-        let mut ctl = ShardedController::new(cfg(), Micros::from_secs(52), 4);
-        // Two bad lines on (very likely) different shards; line 3 must win.
-        ctl.route_raw_line("nope", 9, DataItemId(0));
-        ctl.route_raw_line("nope", 3, DataItemId(1));
-        ctl.route_raw_line("nope", 5, DataItemId(2));
-        ctl.sync().unwrap();
-        let (lineno, _) = ctl.take_ingest_error().unwrap();
-        assert_eq!(lineno, 3);
     }
 
     fn run_to_plans(

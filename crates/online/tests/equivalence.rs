@@ -263,8 +263,14 @@ fn run_daemon_over_ndjson(
     w: &Workload,
     cfg: &StorageConfig,
 ) -> (Vec<PlanEnvelope>, ees_online::OnlineSummary) {
-    let (rx, _counters, handle) =
-        ees_online::spawn_reader(Cursor::new(text.to_string()), 256, OverflowPolicy::Block);
+    let (rx, pool, _counters, handle) = ees_online::spawn_reader_parallel(
+        Cursor::new(text.to_string()),
+        4,
+        64,
+        OverflowPolicy::Block,
+        1,
+        0,
+    );
     let mut daemon = ColocatedDaemon::new(
         &catalog(w),
         w.num_enclosures,
@@ -272,8 +278,11 @@ fn run_daemon_over_ndjson(
         ProposedConfig::default(),
     );
     let mut envelopes = Vec::new();
-    for rec in rx {
-        envelopes.extend(daemon.step(rec).expect("daemon step failed"));
+    for mut batch in rx {
+        for rec in batch.drain(..) {
+            envelopes.extend(daemon.step(rec).expect("daemon step failed"));
+        }
+        pool.recycle(batch);
     }
     let stats = handle.join().unwrap().unwrap();
     assert_eq!(stats.dropped, 0);

@@ -8,15 +8,15 @@
 //!   [`OnlineController`] on the same input.
 //! * Deterministic test: a bursty file-server workload exercises actual
 //!   trigger cuts and the equality still holds.
-//! * Pipeline property test: the raw-line sharded monitor pipeline
-//!   ([`run_monitor_sharded`]) matches the legacy serial driver
+//! * Pipeline property test: the sharded monitor pipeline
+//!   ([`run_monitor_sharded`]) matches the serial reference driver
 //!   ([`run_monitor_serial`]) over the NDJSON rendering of the stream.
 //! * Overlapped-rollover tests: driving every cut through the split
 //!   `rollover_begin` → `rollover_ready` → `rollover_finish` epoch
 //!   machinery (including with a worker panicking while the cut is in
 //!   flight) still reproduces the serial plan sequence byte-for-byte.
-//! * Parallel-front-end tests: the chunked multi-reader ingest
-//!   ([`run_monitor_sharded_with`] with `readers > 1`) across the
+//! * Parallel-front-end tests: the chunked ingest front end
+//!   ([`run_monitor_sharded_with`], one reader included) across the
 //!   readers × shards matrix at tiny chunk targets — arbitrary streams,
 //!   mid-period trigger cuts, inputs smaller than the parser pool,
 //!   error-line parity, and crash/restore from `ees.checkpoint.v1`
@@ -361,8 +361,8 @@ proptest! {
         }
     }
 
-    /// The raw-line monitor pipeline matches the legacy serial driver
-    /// over the NDJSON rendering of the same stream.
+    /// The sharded monitor pipeline (one reader per shard) matches the
+    /// serial driver over the NDJSON rendering of the same stream.
     #[test]
     fn sharded_pipeline_plans_equal_serial(recs in arb_stream()) {
         let enclosures = 3u16;
@@ -374,7 +374,7 @@ proptest! {
         let text = String::from_utf8(text).unwrap();
 
         let serial = run_monitor_serial(
-            Cursor::new(text.clone()), &catalog, enclosures, &cfg, policy, None, 256,
+            Cursor::new(text.clone()), &catalog, enclosures, &cfg, policy, None,
         ).unwrap();
         for shards in SHARD_COUNTS {
             let sharded = run_monitor_sharded(
@@ -408,7 +408,7 @@ proptest! {
         }
 
         let serial = run_monitor_serial(
-            Cursor::new(text.clone()), &catalog, enclosures, &cfg, policy, None, 256,
+            Cursor::new(text.clone()), &catalog, enclosures, &cfg, policy, None,
         ).unwrap();
         for readers in [1usize, 2, 4] {
             for shards in [1usize, 4, 8] {
@@ -446,7 +446,7 @@ proptest! {
         let flat = encode_events(&recs);
 
         let serial = run_monitor_serial(
-            Cursor::new(text.clone()), &catalog, enclosures, &cfg, policy, None, 256,
+            Cursor::new(text.clone()), &catalog, enclosures, &cfg, policy, None,
         ).unwrap();
         for readers in [1usize, 4] {
             for shards in [1usize, 4, 8] {
@@ -550,7 +550,7 @@ proptest! {
 
 /// The deterministic pin for the trigger-cut shape (the proptest above
 /// randomizes it): a 60 s hot burst then silence cuts at ~112.5 s, and
-/// the sharded pipeline reproduces it through the raw-line path too.
+/// the sharded pipeline reproduces it at every shard count.
 #[test]
 fn sharded_pipeline_matches_serial_through_trigger_cuts() {
     let enclosures = 3u16;
@@ -569,7 +569,6 @@ fn sharded_pipeline_matches_serial_through_trigger_cuts() {
         &cfg,
         policy,
         None,
-        256,
     )
     .unwrap();
     let cuts = serial
@@ -712,7 +711,6 @@ fn parallel_frontend_matches_serial_through_trigger_cuts() {
         &cfg,
         policy,
         None,
-        256,
     )
     .unwrap();
     let cuts = serial
@@ -721,7 +719,7 @@ fn parallel_frontend_matches_serial_through_trigger_cuts() {
         .filter(|e| e.reason == RolloverReason::Trigger)
         .count();
     assert!(cuts >= 1, "fixture must exercise §V.D trigger cuts");
-    for readers in [2usize, 4] {
+    for readers in [1usize, 2, 4] {
         for shards in [1usize, 4, 8] {
             let options = ShardOptions {
                 readers,
@@ -761,16 +759,8 @@ fn binary_frontend_matches_serial_through_trigger_cuts() {
     ndjson::write_events(recs.iter(), &mut text).unwrap();
     let framed = encode_events_framed(&recs, 96);
 
-    let serial = run_monitor_serial(
-        Cursor::new(text),
-        &catalog,
-        enclosures,
-        &cfg,
-        policy,
-        None,
-        256,
-    )
-    .unwrap();
+    let serial =
+        run_monitor_serial(Cursor::new(text), &catalog, enclosures, &cfg, policy, None).unwrap();
     let cuts = serial
         .plans
         .iter()
@@ -833,10 +823,9 @@ fn parallel_frontend_handles_inputs_smaller_than_the_pool() {
             &cfg,
             policy,
             None,
-            256,
         )
         .unwrap();
-        for readers in [2usize, 8] {
+        for readers in [1usize, 2, 8] {
             let options = ShardOptions {
                 readers,
                 chunk_bytes: 1 << 20,
@@ -885,10 +874,9 @@ fn parallel_frontend_reports_the_serial_error_line() {
         &cfg,
         policy,
         None,
-        256,
     )
     .unwrap_err();
-    for (readers, chunk) in [(2usize, 64usize), (4, 1), (4, 4096)] {
+    for (readers, chunk) in [(1usize, 64usize), (2, 64), (4, 1), (4, 4096)] {
         let options = ShardOptions {
             readers,
             chunk_bytes: chunk,
@@ -1005,7 +993,7 @@ fn parallel_frontend_crash_restore_keeps_plans_identical() {
     let text = String::from_utf8(text).unwrap();
     let total = recs.len() as u64;
 
-    for (readers, shards) in [(2usize, 1usize), (2, 4), (4, 8)] {
+    for (readers, shards) in [(1usize, 1usize), (1, 4), (2, 1), (2, 4), (4, 8)] {
         let baseline = run_daemon_parallel(
             &text, shards, readers, None, None, None, &catalog, enclosures, &cfg, policy,
         );

@@ -1,5 +1,5 @@
 //! Colocated online daemon: stream a workload's events over the NDJSON
-//! wire into the bounded-channel ingest and let the online controller
+//! wire into the bounded-queue ingest front end and let the online controller
 //! classify, plan, and re-plan live — no buffered trace anywhere.
 //!
 //! ```text
@@ -11,7 +11,7 @@
 //! cuts a period short).
 
 use ees::iotrace::ndjson::write_events;
-use ees::online::{spawn_reader, ColocatedDaemon, OverflowPolicy, RolloverReason};
+use ees::online::{spawn_reader_parallel, ColocatedDaemon, OverflowPolicy, RolloverReason};
 use ees::prelude::*;
 use ees::replay::CatalogItem;
 use std::io::Cursor;
@@ -48,25 +48,31 @@ fn main() {
         ProposedConfig::default(),
     );
 
-    // A 256-slot queue with the lossless policy: the reader thread
-    // blocks when the daemon falls behind (a live tap would use
-    // `OverflowPolicy::DropNewest` instead and count the gap).
-    let (rx, _live, reader) = spawn_reader(Cursor::new(wire), 256, OverflowPolicy::Block);
-    for rec in rx {
-        for env in daemon.step(rec).expect("daemon step failed") {
-            println!(
-                "[{:7.1} s .. {:7.1} s] {:<8} migrations {:<2} preload {:<2} write-delay {:<2}",
-                env.period.start.as_secs_f64(),
-                env.period.end.as_secs_f64(),
-                match env.reason {
-                    RolloverReason::Boundary => "boundary",
-                    RolloverReason::Trigger => "trigger",
-                },
-                env.plan.migrations.len(),
-                env.plan.preload.len(),
-                env.plan.write_delay.len(),
-            );
+    // A queue of 4 batches of 64 events with the lossless policy, parsed
+    // by one reader thread: ingest blocks when the daemon falls behind (a
+    // live tap would use `OverflowPolicy::DropNewest` instead and count
+    // the gap). Drained batch buffers go back to the pool for reuse.
+    let (rx, pool, _live, reader) =
+        spawn_reader_parallel(Cursor::new(wire), 4, 64, OverflowPolicy::Block, 1, 0);
+    for mut batch in rx {
+        for rec in batch.drain(..) {
+            for env in daemon.step(rec).expect("daemon step failed") {
+                println!(
+                    "[{:7.1} s .. {:7.1} s] {:<8} migrations {:<2} preload {:<2} \
+                     write-delay {:<2}",
+                    env.period.start.as_secs_f64(),
+                    env.period.end.as_secs_f64(),
+                    match env.reason {
+                        RolloverReason::Boundary => "boundary",
+                        RolloverReason::Trigger => "trigger",
+                    },
+                    env.plan.migrations.len(),
+                    env.plan.preload.len(),
+                    env.plan.write_delay.len(),
+                );
+            }
         }
+        pool.recycle(batch);
     }
     let ingest = reader.join().unwrap().unwrap();
     let summary = daemon.finish(Some(workload.duration));
