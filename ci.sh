@@ -17,8 +17,11 @@ echo "== cargo test (forced-SWAR scan kernels) =="
 # The scan dispatch picks the widest ISA the host supports, so the
 # portable SWAR fallback never runs on modern x86 unless forced. Pin it:
 # the iotrace suite (scan/ndjson/chunk property tests included) must
-# pass byte-for-byte with the fallback kernels selected.
+# pass byte-for-byte with the fallback kernels selected, and so must the
+# front end's line tests, whose non-canonical lines take the general
+# route through the dispatched scan kernels.
 EES_SCAN_ISA=swar cargo test -p ees-iotrace -q
+EES_SCAN_ISA=swar cargo test -p ees-online -q frontend
 
 echo "== cargo build --release =="
 cargo build --release --workspace
@@ -56,8 +59,10 @@ echo "== online throughput smoke (100k events -> BENCH_online.json) =="
 # zero-copy binary front end (median of 3 runs per driver, after a
 # warm-up). It also times the borrowed-line NDJSON parser alone
 # (ndjson_parse_events_per_sec) — the figure the dispatched scan
-# kernels move directly. With a checked-in baseline the run is a gate:
-# >20% events/sec regression on any of the three drivers or on the raw
+# kernels move directly — and the front end's per-chunk line parse
+# (frontend_parse_events_per_sec) — the figure the canonical-line fast
+# path moves. With a checked-in baseline the run is a gate:
+# >20% events/sec regression on any of the three drivers or on either
 # parse rate fails, sharded p99
 # rollover stall may not grow past 2x the baseline, scaling efficiency
 # (scaling_efficiency_x1000 = sharded / (serial x shards)) may not drop

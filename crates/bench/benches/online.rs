@@ -1,11 +1,12 @@
 //! Microbenchmarks for the online controller subsystem: the per-event
 //! cost of incremental classification (`ees-online`'s hot path) against
-//! the batch analysis it replaces, and NDJSON event codec throughput.
+//! the batch analysis it replaces, NDJSON event codec throughput, and
+//! the ingest front end's per-chunk line parse on both of its routes.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use ees_iotrace::ndjson::{format_event, parse_event};
 use ees_iotrace::{DataItemId, IoKind, LogicalIoRecord, Micros};
-use ees_online::IncrementalClassifier;
+use ees_online::{parse_lines, IncrementalClassifier};
 use ees_simstorage::PlacementMap;
 use std::collections::BTreeSet;
 
@@ -55,6 +56,35 @@ fn bench_online(c: &mut Criterion) {
             black_box(n)
         })
     });
+
+    // One default-size (256 KiB) chunk of whole lines, as the front end
+    // hands a parser thread: canonical `format_event` bytes take the
+    // fast path; the same lines with one leading space decline it and
+    // take the general route (UTF-8 check, trim, full grammar).
+    let chunk_of = |prefix: &str| {
+        let mut chunk = Vec::with_capacity(256 * 1024 + 128);
+        for rec in stream.iter().cycle() {
+            if chunk.len() >= 256 * 1024 {
+                break;
+            }
+            chunk.extend_from_slice(prefix.as_bytes());
+            chunk.extend_from_slice(format_event(rec).as_bytes());
+            chunk.push(b'\n');
+        }
+        chunk
+    };
+    for (name, chunk) in [
+        ("frontend_parse_lines_canonical_256k", chunk_of("")),
+        ("frontend_parse_lines_fallback_256k", chunk_of(" ")),
+    ] {
+        c.bench_function(name, |b| {
+            b.iter(|| {
+                let parsed = parse_lines(0, 1, black_box(&chunk));
+                assert!(parsed.error.is_none());
+                black_box(parsed.records.len())
+            })
+        });
+    }
 
     c.bench_function("ndjson_format_10k_events", |b| {
         b.iter(|| {

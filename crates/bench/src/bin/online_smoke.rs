@@ -19,8 +19,11 @@
 //!
 //! * serial and sharded events/sec — and the raw NDJSON parse rate
 //!   (`ndjson_parse_events_per_sec`, the borrowed-line parser alone on
-//!   one core, the figure the SIMD scan kernels move directly) — must
-//!   each stay within 20% of the baseline figure;
+//!   one core, the figure the SIMD scan kernels move directly) and the
+//!   front end's per-chunk parse rate (`frontend_parse_events_per_sec`,
+//!   `parse_lines` over the stream's 256 KiB slice chunks on one core,
+//!   the figure the canonical-line fast path moves) — must each stay
+//!   within 20% of the baseline figure;
 //! * sharded p99 rollover stall must stay within 2× the baseline;
 //! * scaling efficiency (`sharded / (serial × shards)`, reported as
 //!   `scaling_efficiency_x1000`) must stay ≥ 80% of the baseline;
@@ -37,13 +40,14 @@
 //! `ci.sh` checks the first run's output in as the baseline.
 
 use ees_core::ProposedConfig;
+use ees_iotrace::chunk::{SliceChunker, DEFAULT_CHUNK_BYTES};
 use ees_iotrace::ndjson::{parse_event_borrowed, parse_flat_object};
 use ees_iotrace::parallel::threads;
 use ees_iotrace::wire::transcode_ndjson_to_binary_blocks;
 use ees_iotrace::{DataItemId, EnclosureId, Micros};
 use ees_online::{
-    run_monitor_serial, run_monitor_sharded, run_monitor_sharded_slice, MonitorOutcome,
-    ShardOptions,
+    parse_lines, run_monitor_serial, run_monitor_sharded, run_monitor_sharded_slice,
+    MonitorOutcome, ShardOptions,
 };
 use ees_replay::CatalogItem;
 use ees_simstorage::{Access, StorageConfig};
@@ -55,7 +59,7 @@ const EVENTS: u64 = 100_000;
 const ITEMS: u32 = 64;
 const ENCLOSURES: u16 = 4;
 /// Allowed events/sec drop relative to the checked-in baseline (also
-/// applied to the raw NDJSON parse rate).
+/// applied to the raw NDJSON and front-end parse rates).
 const MAX_REGRESSION: f64 = 0.20;
 /// Allowed sharded p99 rollover-stall growth relative to the baseline.
 const MAX_P99_GROWTH: f64 = 2.0;
@@ -179,6 +183,22 @@ fn ndjson_parse_rate(text: &str) -> u64 {
     events_per_sec(parsed, started.elapsed().as_secs_f64())
 }
 
+/// The front end's parser-thread work alone: the smoke trace cut into
+/// the default 256 KiB slice chunks (what an mmap'd file feeds the
+/// parser pool) and every chunk through [`parse_lines`] on one core —
+/// the canonical-line fast path plus its per-line fallback routing.
+fn frontend_parse_rate(text: &str) -> u64 {
+    let started = Instant::now();
+    let mut parsed = 0u64;
+    for chunk in SliceChunker::new(text.as_bytes(), DEFAULT_CHUNK_BYTES) {
+        let out = parse_lines(chunk.seq, chunk.first_lineno, chunk.bytes);
+        assert!(out.error.is_none(), "smoke chunk parses");
+        parsed += out.records.len() as u64;
+    }
+    assert_eq!(parsed, EVENTS);
+    events_per_sec(parsed, started.elapsed().as_secs_f64())
+}
+
 fn read_baseline(path: &str) -> Option<Vec<(String, u64)>> {
     let text = std::fs::read_to_string(path).ok()?;
     let line = text.lines().collect::<Vec<_>>().join(" ");
@@ -252,11 +272,15 @@ fn main() -> ExitCode {
     // Fixed-point binary-over-NDJSON speedup at the same shard count.
     let binary_speedup_x1000 = (binary_rate as f64 * 1000.0 / sharded_rate.max(1) as f64) as u64;
 
-    // The raw parser rate, median-of-3 after a warm-up like the rest.
-    let _ = ndjson_parse_rate(&text);
-    let mut parse_rates: Vec<u64> = (0..3).map(|_| ndjson_parse_rate(&text)).collect();
-    parse_rates.sort_unstable();
-    let parse_rate = parse_rates[1];
+    // The parser rates, median-of-3 after a warm-up like the rest.
+    let median_rate = |pass: fn(&str) -> u64| {
+        let _ = pass(&text);
+        let mut rates: Vec<u64> = (0..3).map(|_| pass(&text)).collect();
+        rates.sort_unstable();
+        rates[1]
+    };
+    let parse_rate = median_rate(ndjson_parse_rate);
+    let frontend_rate = median_rate(frontend_parse_rate);
 
     // `scan_isa` is the one non-u64 field: the baseline reader keeps
     // only u64s, so it documents the kernel set without ever gating.
@@ -264,7 +288,7 @@ fn main() -> ExitCode {
         "{{\"events\": {}, \"shards\": {}, \"readers\": {}, \"plans\": {}, \
          \"scan_isa\": \"{}\", \
          \"serial_events_per_sec\": {}, \"sharded_events_per_sec\": {}, \
-         \"ndjson_parse_events_per_sec\": {}, \
+         \"ndjson_parse_events_per_sec\": {}, \"frontend_parse_events_per_sec\": {}, \
          \"binary_events_per_sec\": {}, \"binary_blocks\": {}, \
          \"binary_speedup_x1000\": {}, \"scaling_efficiency_x1000\": {}, \
          \"serial_p99_rollover_micros\": {}, \"sharded_p99_rollover_micros\": {}}}\n",
@@ -277,6 +301,7 @@ fn main() -> ExitCode {
         serial_rate,
         sharded_rate,
         parse_rate,
+        frontend_rate,
         binary_rate,
         binary_blocks,
         binary_speedup_x1000,
@@ -290,7 +315,8 @@ fn main() -> ExitCode {
     }
     println!(
         "online_smoke[{}]: serial {serial_rate} ev/s, sharded({shards}) {sharded_rate} ev/s \
-         (efficiency {:.2}), parse {parse_rate} ev/s, binary {binary_rate} ev/s \
+         (efficiency {:.2}), parse {parse_rate} ev/s, front-end parse {frontend_rate} ev/s, \
+         binary {binary_rate} ev/s \
          ({:.2}x, {binary_blocks} blocks), p99 rollover {serial_p99} us / {sharded_p99} us \
          -> {out_path}",
         ees_iotrace::scan::active_isa_name(),
@@ -304,6 +330,7 @@ fn main() -> ExitCode {
             ("serial_events_per_sec", serial_rate),
             ("sharded_events_per_sec", sharded_rate),
             ("ndjson_parse_events_per_sec", parse_rate),
+            ("frontend_parse_events_per_sec", frontend_rate),
             ("binary_events_per_sec", binary_rate),
         ] {
             let Some(base) = baseline_value(&baseline, key) else {

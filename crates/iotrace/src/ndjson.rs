@@ -14,6 +14,8 @@
 //! side must stream records one line at a time without buffering a trace.
 //! The parser is tolerant: fields may appear in any order, whitespace is
 //! skipped, blank lines and `#` comment lines are ignored by the reader.
+//! [`parse_canonical`] is the strict ingest fast path beside it: it takes
+//! only the exact bytes [`format_event`] writes and declines the rest.
 
 use crate::record::LogicalIoRecord;
 use crate::types::{DataItemId, IoKind, Micros};
@@ -457,6 +459,61 @@ pub fn parse_event_borrowed(line: &str) -> Result<LogicalIoRecord, String> {
         len: u32::try_from(len.ok_or("missing field \"len\"")?).map_err(|_| "len out of range")?,
         kind: kind.ok_or("missing field \"kind\"")?,
     })
+}
+
+/// Decodes one line in the exact byte layout [`format_event`] writes —
+/// `{"ts":D,"item":D,"offset":D,"len":D,"kind":"Read"|"Write"}` with no
+/// whitespace, no leading zeros and nothing after the `}` — or returns
+/// `None`.
+///
+/// This is the ingest fast path for the one shape every NDJSON writer in
+/// the workspace emits; it never reports an error. `None` only means
+/// "not canonical": the caller falls back to [`parse_event_borrowed`],
+/// the one general grammar, which decides what the line means and words
+/// any error. Whenever this returns `Some(r)`, [`parse_event_borrowed`]
+/// on the same text returns `Ok(r)` (property-tested in
+/// `tests/ndjson_prop.rs`): the digit folds are overflow-checked and
+/// `item`/`len` are range-checked against `u32` exactly as the general
+/// grammar does, so a value it rejects is declined here.
+pub fn parse_canonical(raw: &[u8]) -> Option<LogicalIoRecord> {
+    let rest = raw.strip_prefix(b"{\"ts\":")?;
+    let (ts, rest) = canonical_number(rest)?;
+    let rest = rest.strip_prefix(b",\"item\":")?;
+    let (item, rest) = canonical_number(rest)?;
+    let rest = rest.strip_prefix(b",\"offset\":")?;
+    let (offset, rest) = canonical_number(rest)?;
+    let rest = rest.strip_prefix(b",\"len\":")?;
+    let (len, rest) = canonical_number(rest)?;
+    let kind = match rest {
+        b",\"kind\":\"Read\"}" => IoKind::Read,
+        b",\"kind\":\"Write\"}" => IoKind::Write,
+        _ => return None,
+    };
+    Some(LogicalIoRecord {
+        ts: Micros(ts),
+        item: DataItemId(u32::try_from(item).ok()?),
+        offset,
+        len: u32::try_from(len).ok()?,
+        kind,
+    })
+}
+
+/// The unsigned decimal at the start of `b` as `u64::to_string` writes
+/// it (`0`, or a nonzero digit then digits), plus the bytes after it.
+/// `None` on no digit, a leading zero, or `u64` overflow.
+#[inline(always)]
+fn canonical_number(b: &[u8]) -> Option<(u64, &[u8])> {
+    let mut n = match b.first()?.wrapping_sub(b'0') {
+        0 => return (!b.get(1).is_some_and(u8::is_ascii_digit)).then(|| (0, &b[1..])),
+        d @ 1..=9 => d as u64,
+        _ => return None,
+    };
+    let mut i = 1;
+    while let Some(d) = b.get(i).map(|c| c.wrapping_sub(b'0')).filter(|&d| d <= 9) {
+        n = n.checked_mul(10)?.checked_add(d as u64)?;
+        i += 1;
+    }
+    Some((n, &b[i..]))
 }
 
 /// The `item` field of a net-edge event line: either an explicit

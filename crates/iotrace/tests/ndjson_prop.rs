@@ -3,7 +3,11 @@
 //! `ci.sh` does — to pin the portable fallback, and see `scan_prop.rs`
 //! for the per-ISA kernel sweep).
 
-use ees_iotrace::ndjson::{count_byte, find_byte, find_byte2, json_escape, parse_event_borrowed};
+use ees_iotrace::ndjson::{
+    count_byte, find_byte, find_byte2, format_event, json_escape, parse_canonical,
+    parse_event_borrowed,
+};
+use ees_iotrace::{DataItemId, IoKind, LogicalIoRecord, Micros};
 use proptest::prelude::*;
 
 /// Character-at-a-time reference for [`json_escape`] — the pre-SIMD
@@ -152,6 +156,229 @@ proptest! {
                     err.contains("number overflow in field \"ts\""),
                     "unexpected error: {}", err
                 );
+            }
+        }
+    }
+}
+
+/// Field values weighted toward the edges the canonical decoder must
+/// get exactly right: zero, one digit, the `u32`/`u64` extremes.
+fn edge_u64() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        4 => any::<u64>(),
+        2 => 0u64..1000,
+        1 => Just(0u64),
+        1 => Just(u64::MAX),
+        1 => Just(u32::MAX as u64),
+    ]
+}
+
+fn edge_u32() -> impl Strategy<Value = u32> {
+    prop_oneof![
+        4 => any::<u32>(),
+        2 => 0u32..1000,
+        1 => Just(0u32),
+        1 => Just(u32::MAX),
+    ]
+}
+
+fn record() -> impl Strategy<Value = LogicalIoRecord> {
+    (
+        edge_u64(),
+        edge_u32(),
+        edge_u64(),
+        edge_u32(),
+        any::<bool>(),
+    )
+        .prop_map(|(ts, item, offset, len, write)| LogicalIoRecord {
+            ts: Micros(ts),
+            item: DataItemId(item),
+            offset,
+            len,
+            kind: if write { IoKind::Write } else { IoKind::Read },
+        })
+}
+
+/// The byte range of the `field`-th (0..4) number in a canonical line.
+fn number_span(line: &[u8], field: usize) -> (usize, usize) {
+    let key = [&b"\"ts\":"[..], b"\"item\":", b"\"offset\":", b"\"len\":"][field];
+    let start = line
+        .windows(key.len())
+        .position(|w| w == key)
+        .expect("canonical key")
+        + key.len();
+    let end = start
+        + line[start..]
+            .iter()
+            .take_while(|b| b.is_ascii_digit())
+            .count();
+    (start, end)
+}
+
+fn splice(line: &[u8], from: usize, to: usize, with: &[u8]) -> Vec<u8> {
+    [&line[..from], with, &line[to..]].concat()
+}
+
+/// One mutation of a canonical line, chosen by `op` and steered by the
+/// two free parameters: each either keeps the line parseable with the
+/// same meaning (where the fast path must decline or agree) or makes it
+/// something else the general grammar decides.
+fn mutate(line: &[u8], op: u8, a: usize, b: u64) -> Vec<u8> {
+    let field = a % 4;
+    let (start, end) = number_span(line, field);
+    let at = a % (line.len() + 1);
+    match op {
+        // Leading zeros on any number.
+        0 => splice(line, start, start, &b"000"[..1 + (b % 3) as usize]),
+        // 20+ digits: past `u64::MAX`, right at it, or far beyond.
+        1 => {
+            let big = match b % 4 {
+                0 => "18446744073709551616".to_string(),
+                1 => u64::MAX.to_string(),
+                2 => format!(
+                    "{}",
+                    18446744073709551616u128 + b as u128 % 81553255926290448384
+                ),
+                _ => "1".repeat(21 + (b % 5) as usize),
+            };
+            splice(line, start, end, big.as_bytes())
+        }
+        // `item`/`len` one past `u32::MAX`, or at it.
+        2 => {
+            let (s, e) = number_span(line, [1, 3][(b % 2) as usize]);
+            let v = u32::MAX as u64 + (b / 2) % 2;
+            splice(line, s, e, v.to_string().as_bytes())
+        }
+        // Whitespace anywhere.
+        3 => splice(line, at, at, [&b" "[..], b"\t", b"\r"][(b % 3) as usize]),
+        // Truncation at any byte.
+        4 => line[..at].to_vec(),
+        // Reordered keys: swap `ts` with another field.
+        5 => {
+            let text = std::str::from_utf8(line).unwrap();
+            let inner = &text[1..text.len() - 1];
+            let mut fields: Vec<&str> = inner.split(',').collect();
+            fields.swap(0, 1 + (b % 4) as usize);
+            format!("{{{}}}", fields.join(",")).into_bytes()
+        }
+        // Duplicate key, before or after the original.
+        6 => {
+            let dup = format!(
+                "\"{}\":{},",
+                ["ts", "item", "offset", "len"][field],
+                b % 1000
+            );
+            if b & 1 == 0 {
+                splice(line, 1, 1, dup.as_bytes())
+            } else {
+                let close = line.len() - 1;
+                let tail = format!(",{}", dup.trim_end_matches(','));
+                splice(line, close, close, tail.as_bytes())
+            }
+        }
+        // Unknown key.
+        7 => splice(line, 1, 1, b"\"x\":1,"),
+        // Kind spellings: wrong case, prefixes, extensions, escapes.
+        8 => {
+            let kinds: [&[u8]; 8] = [
+                b"read",
+                b"READ",
+                b"Rea",
+                b"Writ",
+                b"Reads",
+                b"Writes",
+                b"\\u0052ead",
+                b"Wr\\u0069te",
+            ];
+            let k = line.windows(8).position(|w| w == b"\"kind\":\"").unwrap() + 8;
+            splice(line, k, line.len() - 2, kinds[(b % 8) as usize])
+        }
+        // A string where a number belongs.
+        9 => {
+            let quoted = format!("\"{}\"", std::str::from_utf8(&line[start..end]).unwrap());
+            splice(line, start, end, quoted.as_bytes())
+        }
+        // Trailing bytes after the object.
+        10 => [line, [&b" "[..], b"x", b"}", b","][(b % 4) as usize]].concat(),
+        // Any single byte overwritten.
+        _ => {
+            let mut m = line.to_vec();
+            if at < m.len() {
+                m[at] = b as u8;
+            }
+            m
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    /// Every line `format_event` writes takes the fast path and decodes
+    /// to the record it came from, `u64::MAX`/`u32::MAX` fields included.
+    #[test]
+    fn canonical_decodes_every_formatted_record(rec in record()) {
+        prop_assert_eq!(parse_canonical(format_event(&rec).as_bytes()), Some(rec));
+    }
+
+    /// On mutated canonical lines the fast path either declines or agrees
+    /// with the general grammar: it never accepts a line the grammar
+    /// rejects, and never reads one differently.
+    #[test]
+    fn canonical_never_disagrees_with_the_general_grammar(
+        rec in record(),
+        op in 0u8..12,
+        a in any::<usize>(),
+        b in any::<u64>(),
+    ) {
+        let line = mutate(format_event(&rec).as_bytes(), op, a, b);
+        if let Some(fast) = parse_canonical(&line) {
+            let text = std::str::from_utf8(&line).expect("fast path accepts ASCII only");
+            prop_assert_eq!(parse_event_borrowed(text), Ok(fast), "line {:?}", text);
+        }
+    }
+}
+
+/// Exhaustive companion to the mutation property on a few fixed lines:
+/// every truncation and every single-byte insertion of a space, tab,
+/// `\r`, zero or quote.
+#[test]
+fn canonical_declines_or_agrees_at_every_byte() {
+    let recs = [
+        LogicalIoRecord {
+            ts: Micros(u64::MAX),
+            item: DataItemId(u32::MAX),
+            offset: u64::MAX,
+            len: u32::MAX,
+            kind: IoKind::Write,
+        },
+        LogicalIoRecord {
+            ts: Micros(0),
+            item: DataItemId(0),
+            offset: 0,
+            len: 0,
+            kind: IoKind::Read,
+        },
+        LogicalIoRecord {
+            ts: Micros(1_000_000),
+            item: DataItemId(17),
+            offset: 8192,
+            len: 4096,
+            kind: IoKind::Read,
+        },
+    ];
+    for rec in recs {
+        let line = format_event(&rec).into_bytes();
+        let mut variants: Vec<Vec<u8>> = (0..line.len()).map(|i| line[..i].to_vec()).collect();
+        for i in 0..=line.len() {
+            for b in [b' ', b'\t', b'\r', b'0', b'"'] {
+                variants.push(splice(&line, i, i, &[b]));
+            }
+        }
+        for v in variants {
+            if let Some(fast) = parse_canonical(&v) {
+                let text = std::str::from_utf8(&v).unwrap();
+                assert_eq!(parse_event_borrowed(text), Ok(fast), "line {text:?}");
             }
         }
     }

@@ -17,8 +17,9 @@
 //!   crossing a cut boundary is impossible by construction in both
 //!   formats, so every record is parsed exactly once;
 //! * `readers` **parser** threads pull work from a shared queue and run
-//!   the full per-record front end — line parsing
-//!   ([`parse_event_borrowed`]) or block decoding ([`decode_block`]) —
+//!   the full per-record front end — line parsing ([`parse_canonical`]
+//!   on the exact `format_event` layout, else [`parse_event_borrowed`])
+//!   or block decoding ([`decode_block`]) —
 //!   producing a [`ParsedChunk`] each: records in stream order, plus at
 //!   most one error where decoding must stop;
 //! * the consumer re-sequences completed chunks by their dense `seq`
@@ -52,15 +53,16 @@
 //! cap, so the cut overlaps with parsing instead of stalling it.
 
 use ees_iotrace::chunk::{ChunkReader, ChunkRef, RawChunk, SliceChunker, DEFAULT_CHUNK_BYTES};
-use ees_iotrace::ndjson::parse_event_borrowed;
+use ees_iotrace::ndjson::{parse_canonical, parse_event_borrowed};
 use ees_iotrace::wire::{
     decode_block, sniff_format, BinaryEventReader, BlockSplitter, NamedEvent, StreamFormat,
     WireRecord, MAX_BLOCK_BYTES, TAG_BLOCK,
 };
 use ees_iotrace::{DataItemId, LogicalIoRecord};
+use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap};
 use std::io::Read;
-use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
+use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TryRecvError};
 use std::sync::{Arc, Mutex};
 use std::thread::{Scope, ScopedJoinHandle};
 use std::time::Duration;
@@ -169,6 +171,10 @@ pub struct ParsedChunk {
     pub wire_records: u64,
     /// The first input the front end could not get past, if any.
     pub error: Option<ChunkError>,
+    /// The splitter cut this chunk right after a read that came back
+    /// short — a streamed NDJSON source had nothing more ready, so a live
+    /// writer may have gone quiet. Always `false` for slices and binary.
+    pub source_drained: bool,
 }
 
 impl ParsedChunk {
@@ -179,20 +185,28 @@ impl ParsedChunk {
             named: Vec::new(),
             wire_records: 0,
             error: None,
+            source_drained: false,
         }
     }
 }
 
-/// Runs the per-line front end over one raw chunk: UTF-8 check, trim,
-/// blank/comment skip, full parse. Stops at the first failure — the
-/// records after an error are never observable downstream, matching the
-/// serial reader's abort-at-first-error shape.
+/// Runs the per-line front end over one raw chunk: canonical fast path,
+/// else UTF-8 check, trim, blank/comment skip, full parse. Stops at the
+/// first failure — the records after an error are never observable
+/// downstream, matching the serial reader's abort-at-first-error shape.
 pub fn parse_chunk(chunk: &RawChunk) -> ParsedChunk {
     parse_lines(chunk.seq, chunk.first_lineno, &chunk.bytes)
 }
 
 /// [`parse_chunk`] over any newline-aligned byte run (owned or borrowed
 /// from an mmap'd slice).
+///
+/// Each raw line first tries [`parse_canonical`], which accepts only the
+/// exact bytes `format_event` writes — what every NDJSON writer in the
+/// workspace emits — in one straight pass. Any other line falls through
+/// unchanged to the general route ([`parse_event_borrowed`] after the
+/// UTF-8 check and trim), which owns every error message and line
+/// number (DESIGN.md §20).
 pub fn parse_lines(seq: u64, first_lineno: u64, bytes: &[u8]) -> ParsedChunk {
     let chunk = ChunkRef {
         seq,
@@ -201,6 +215,10 @@ pub fn parse_lines(seq: u64, first_lineno: u64, bytes: &[u8]) -> ParsedChunk {
     };
     let mut parsed = ParsedChunk::empty(seq);
     for (lineno, raw) in chunk.lines() {
+        if let Some(rec) = parse_canonical(raw) {
+            parsed.records.push(rec);
+            continue;
+        }
         let Ok(text) = std::str::from_utf8(raw) else {
             parsed.error = Some(ChunkError::Utf8);
             break;
@@ -233,6 +251,7 @@ pub fn parse_block(seq: u64, payload: &[u8]) -> ParsedChunk {
         error: d
             .error
             .map(|(recno, msg)| ChunkError::Record { recno, msg }),
+        source_drained: false,
     }
 }
 
@@ -259,6 +278,8 @@ enum WorkItem<'env> {
         seq: u64,
         first_lineno: u64,
         bytes: WorkBytes<'env>,
+        /// See [`ParsedChunk::source_drained`].
+        drained: bool,
     },
     /// One self-contained framed block payload.
     Block { seq: u64, bytes: WorkBytes<'env> },
@@ -468,6 +489,23 @@ impl<'scope> ParallelScanner<'scope> {
         }
     }
 
+    /// Non-blocking probe: whether [`next_ordered`](Self::next_ordered)
+    /// would return at once — the next chunk in stream order is staged,
+    /// the stream is complete, or the front end is gone. Absorbs every
+    /// parsed chunk that has already arrived.
+    pub fn next_ready(&mut self) -> bool {
+        loop {
+            if self.pending.contains_key(&self.next_seq) || self.total == Some(self.next_seq) {
+                return true;
+            }
+            match self.rx.try_recv() {
+                Ok(msg) => self.absorb(msg),
+                Err(TryRecvError::Empty) => return false,
+                Err(TryRecvError::Disconnected) => return true,
+            }
+        }
+    }
+
     /// Read-ahead while a cut is in flight: park on the parser channel
     /// for at most `timeout` and stage one completed chunk into the
     /// reorder buffer. Once `cap_records` records are staged (or the
@@ -522,7 +560,11 @@ fn parser_loop(work: &Mutex<Receiver<WorkItem<'_>>>, out: &SyncSender<FrontendMs
                 seq,
                 first_lineno,
                 bytes,
-            } => parse_lines(seq, first_lineno, bytes.as_slice()),
+                drained,
+            } => ParsedChunk {
+                source_drained: drained,
+                ..parse_lines(seq, first_lineno, bytes.as_slice())
+            },
             WorkItem::Block { seq, bytes } => parse_block(seq, bytes.as_slice()),
         };
         if out.send(FrontendMsg::Chunk(parsed)).is_err() {
@@ -603,8 +645,12 @@ fn split_reader<'env, R: Read>(
         }
     };
     if sniff_format(&prefix) == StreamFormat::Ndjson {
-        let rejoined = std::io::Cursor::new(prefix).chain(input);
-        return split_ndjson_reader(ChunkReader::new(rejoined, chunk_bytes), work, out);
+        let short = Cell::new(false);
+        let rejoined = ShortReads {
+            inner: std::io::Cursor::new(prefix).chain(input),
+            short: &short,
+        };
+        return split_ndjson_reader(ChunkReader::new(rejoined, chunk_bytes), &short, work, out);
     }
     // Binary: the tag after the magic decides framed vs unframed.
     let first_tag = match read_up_to(&mut input, 1) {
@@ -622,8 +668,26 @@ fn split_reader<'env, R: Read>(
     }
 }
 
+/// A [`Read`] adapter that notes whether its latest read returned fewer
+/// bytes than asked for: the source had nothing more ready. A
+/// [`Cursor`](std::io::Cursor) reads short only at its end, so in-memory
+/// input never looks drained mid-stream.
+struct ShortReads<'a, R> {
+    inner: R,
+    short: &'a Cell<bool>,
+}
+
+impl<R: Read> Read for ShortReads<'_, R> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = self.inner.read(buf)?;
+        self.short.set(n < buf.len());
+        Ok(n)
+    }
+}
+
 fn split_ndjson_reader<'env, R: Read>(
     mut reader: ChunkReader<R>,
+    short: &Cell<bool>,
     work: &SyncSender<WorkItem<'env>>,
     out: &SyncSender<FrontendMsg>,
 ) -> u64 {
@@ -636,6 +700,7 @@ fn split_ndjson_reader<'env, R: Read>(
                     seq: chunk.seq,
                     first_lineno: chunk.first_lineno,
                     bytes: WorkBytes::Owned(chunk.bytes),
+                    drained: short.get(),
                 };
                 if work.send(item).is_err() {
                     // Consumer hung up; no one is left to sequence.
@@ -737,6 +802,7 @@ fn split_slice<'env>(
                 seq: c.seq,
                 first_lineno: c.first_lineno,
                 bytes: WorkBytes::Borrowed(c.bytes),
+                drained: false,
             };
             if work.send(item).is_err() {
                 return chunks;
@@ -945,6 +1011,99 @@ mod tests {
             err.to_io_error().to_string(),
             "stream did not contain valid UTF-8"
         );
+    }
+
+    /// The front end's line loop before the canonical fast path: the
+    /// general route alone. The reference the fast path must match line
+    /// for line and error for error.
+    fn parse_lines_general(seq: u64, first_lineno: u64, bytes: &[u8]) -> ParsedChunk {
+        let chunk = ChunkRef {
+            seq,
+            first_lineno,
+            bytes,
+        };
+        let mut parsed = ParsedChunk::empty(seq);
+        for (lineno, raw) in chunk.lines() {
+            let Ok(text) = std::str::from_utf8(raw) else {
+                parsed.error = Some(ChunkError::Utf8);
+                break;
+            };
+            let trimmed = text.trim();
+            if trimmed.is_empty() || trimmed.starts_with('#') {
+                continue;
+            }
+            match parse_event_borrowed(trimmed) {
+                Ok(rec) => parsed.records.push(rec),
+                Err(msg) => {
+                    parsed.error = Some(ChunkError::Parse { lineno, msg });
+                    break;
+                }
+            }
+        }
+        parsed
+    }
+
+    /// One line of a mixed chunk: every shape the fast path must either
+    /// take with the same result or hand to the general route untouched.
+    fn mixed_line(kind: u8, ts: u64) -> Vec<u8> {
+        let canonical = line(ts).trim_end().as_bytes().to_vec();
+        let mut out = match kind {
+            0 | 1 => canonical,
+            2 => [&b"  "[..], &canonical, b"\t"].concat(),
+            3 => [&canonical[..], b"\r"].concat(),
+            4 => Vec::new(),
+            5 => b"# a comment".to_vec(),
+            6 => [&canonical[..10], b"\xff\xfe", &canonical[10..]].concat(),
+            7 => b"not json".to_vec(),
+            8 => format!(
+                "{{\"ts\":{ts}0000000000000000000,\"item\":1,\"offset\":0,\"len\":1,\"kind\":\"Read\"}}"
+            )
+            .into_bytes(),
+            9 => format!(
+                "{{\"item\":2,\"ts\":{ts},\"offset\":0,\"len\":1,\"kind\":\"Write\"}}"
+            )
+            .into_bytes(),
+            10 => format!("{{\"ts\":{ts},\"item\":4294967296,\"offset\":0,\"len\":1,\"kind\":\"Read\"}}")
+                .into_bytes(),
+            _ => [&canonical[..], b"x"].concat(),
+        };
+        out.push(b'\n');
+        out
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(512))]
+
+        /// Mixed chunks — canonical, padded, CRLF, blank, comment,
+        /// invalid UTF-8, bad, overflowing, reordered and out-of-range
+        /// lines, with or without a final newline — parse exactly like
+        /// the general route: same records, same error, same line number
+        /// and message.
+        #[test]
+        fn parse_lines_matches_the_general_route(
+            kinds in proptest::collection::vec(
+                proptest::prop_oneof![
+                    12 => proptest::strategy::Just(0u8),
+                    1 => 1u8..12,
+                ],
+                0..40,
+            ),
+            first_lineno in 1u64..1_000_000,
+            unterminated in proptest::arbitrary::any::<bool>(),
+        ) {
+            let mut bytes: Vec<u8> = kinds
+                .iter()
+                .enumerate()
+                .flat_map(|(i, &k)| mixed_line(k, i as u64 * 1000))
+                .collect();
+            if unterminated {
+                bytes.pop();
+            }
+            proptest::prop_assert_eq!(
+                parse_lines(3, first_lineno, &bytes),
+                parse_lines_general(3, first_lineno, &bytes)
+            );
+        }
     }
 
     #[test]

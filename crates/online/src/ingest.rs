@@ -239,7 +239,10 @@ pub type PooledReader = (
 /// delivery; dropped on overflow (a rejected batch counts its events,
 /// not one batch), on consumer hang-up (the in-flight batch and the
 /// rest of its chunk), or on a stream error (the partial batch that
-/// never flushed). A partial batch at end of stream is flushed. The
+/// never flushed). A partial batch at end of stream is flushed; under
+/// [`OverflowPolicy::Block`] so is one left when the source goes quiet
+/// (a live writer between lines), so a tap never holds records back
+/// waiting for `batch` more. The
 /// join handle carries the final counters or the first error, with the
 /// serial reader's text (`line N: …`). `chunk_bytes == 0` selects the
 /// default chunk target.
@@ -400,6 +403,20 @@ fn sequence_batches(
             // The partial batch dies with the stream — count it.
             live.dropped.fetch_add(buf.len() as u64, Ordering::Relaxed);
             return Err(err.to_io_error());
+        }
+        // A live writer gone quiet: the chunk ended where the source had
+        // nothing more ready and nothing further is parsed, so deliver
+        // the partial batch now rather than when the writer resumes.
+        // `DropNewest` keeps its exact batch boundaries.
+        if policy == OverflowPolicy::Block
+            && chunk.source_drained
+            && !buf.is_empty()
+            && !scanner.next_ready()
+        {
+            flush(&mut buf, &mut disconnected);
+            if disconnected {
+                break;
+            }
         }
     }
     flush(&mut buf, &mut disconnected);
@@ -614,14 +631,15 @@ mod tests {
 
     #[test]
     fn live_pipe_batches_arrive_before_the_writer_finishes() {
-        // 64 lines, then the writer goes quiet. A tap must see them as
+        // A full batch (64 lines) or a partial one (5 of 64), then the
+        // writer goes quiet without hanging up. A tap must see them as
         // one batch right away, not after the stream (or a full chunk
-        // target) arrives; the timeout turns a stuck front end into a
-        // failure instead of a hung test.
-        let lines: String = (0..64).map(|i| line(i * 1000)).collect();
-        for readers in [1, 4] {
+        // target, or the rest of the batch) arrives; the timeout turns a
+        // stuck front end into a failure instead of a hung test.
+        for (n, readers) in [(64, 1), (64, 4), (5, 1), (5, 4)] {
+            let lines: String = (0..n).map(|i| line(i * 1000)).collect();
             let (tx, rx) = channel::<Vec<u8>>();
-            tx.send(lines.clone().into_bytes()).unwrap();
+            tx.send(lines.into_bytes()).unwrap();
             let tap = ChannelReader {
                 rx,
                 pending: Vec::new(),
@@ -641,16 +659,16 @@ mod tests {
             let first = match first {
                 Ok(batch) => batch,
                 Err(RecvTimeoutError::Timeout) => {
-                    panic!("readers={readers}: no batch while the writer was idle")
+                    panic!("n={n} readers={readers}: no batch while the writer was idle")
                 }
                 Err(RecvTimeoutError::Disconnected) => {
-                    panic!("readers={readers}: front end ended early")
+                    panic!("n={n} readers={readers}: front end ended early")
                 }
             };
-            assert_eq!(first.len(), 64, "readers={readers}");
-            assert_eq!(first[63].ts.0, 63_000);
+            assert_eq!(first.len(), n as usize, "n={n} readers={readers}");
+            assert_eq!(first[n as usize - 1].ts.0, (n - 1) * 1000);
             assert_eq!(batches.iter().count(), 0, "nothing after the first batch");
-            assert_eq!(handle.join().unwrap().unwrap().accepted, 64);
+            assert_eq!(handle.join().unwrap().unwrap().accepted, n);
         }
     }
 
